@@ -48,7 +48,6 @@ from .operators import (
     ComplexQuasimomentum,
     MatrixPotential,
     TruncatedOperator,
-    apply_operator,
     assemble_dirac,
     assemble_dpm,
     gauge_conjugate,

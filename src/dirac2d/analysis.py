@@ -513,9 +513,6 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if psi.grid != w.grid:
-        # Fields may live on different grids; only their band content matters here.
-        pass
     req = _required_resolution(psi, n_max)
     if resolution is None:
         s1, s2 = req

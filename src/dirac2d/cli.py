@@ -667,6 +667,9 @@ def main(argv=None) -> int:
     except Dirac2DError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"inadmissible parameters: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

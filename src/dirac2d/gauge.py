@@ -15,6 +15,13 @@ with determinant 2i Im(mu1_+ conj(mu2_+)).  The gauge functions are then
 recovered from least squares on the zero-mean subspace, with the defect of the
 solvability condition reported as a residual.
 
+One SVD of A = i d_+(0) serves a whole solve: its last left singular vector
+is chi_+, and since the N = 0 column of A is zero its leading n - 1 triplets
+are the SVD of the zero-mean restriction.  Real coefficients give
+i d_-(0) = R conj(A) R with R: N -> -N (the symmetry behind chi_- =
+conj(R chi_+)), so the same factors solve the - equation.  Both residuals are
+measured against the assembled matrices.
+
 The canonical variant feeds C_1 = iH, C_2 = 0, yielding real zero-mean
 (Phi, Psi) and a shift direction kappa_tilde with kappa_tilde_1 > 0; from it
 the map Z(x) = Phi - i Psi + kappa_tilde_1 x_1 + (kappa_tilde_2 + i) x_2 is
@@ -68,17 +75,8 @@ def _phase_fix(chi: np.ndarray) -> np.ndarray:
     return chi * (np.conj(pivot) / abs(pivot))
 
 
-def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) -> CokernelPair:
-    """Left singular pair of the truncated d_+ for its smallest singular value.
-
-    The smallest singular value should vanish to rounding (the cokernel is
-    one-dimensional); if the two smallest singular values are closer than the
-    degeneracy gap the cokernel is not numerically one-dimensional and a
-    :class:`DegenerateCokernelError` is raised.
-    """
-    grid = coeffs.grid if grid is None else grid
-    a = assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
-    u, s, _ = np.linalg.svd(a)
+def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, u: np.ndarray,
+                   s: np.ndarray) -> CokernelPair:
     gap = float(s[-2] - s[-1])
     if gap < TOLERANCES["cokernel_gap"]:
         raise DegenerateCokernelError(
@@ -87,9 +85,7 @@ def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) ->
     chi_plus = _phase_fix(u[:, -1])
     chi_minus = np.conj(chi_plus[::-1])
 
-    cp = coeffs.c_plus().coeffs
-    cm = coeffs.c_minus().coeffs
-    h = coeffs.h.coeffs
+    cp, cm, h = coeffs.c_plus().coeffs, coeffs.c_minus().coeffs, coeffs.h.coeffs
     pair = CokernelPair(
         grid=grid,
         chi_plus=chi_plus,
@@ -104,6 +100,19 @@ def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) ->
     if pair.c0_lower <= 0.0:
         raise Dirac2DError("pairing determinant vanished; gauge equations unsolvable")
     return pair
+
+
+def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) -> CokernelPair:
+    """Left singular pair of the truncated d_+ for its smallest singular value.
+
+    The smallest singular value should vanish to rounding (the cokernel is
+    one-dimensional); if the two smallest singular values are closer than the
+    degeneracy gap the cokernel is not numerically one-dimensional and a
+    :class:`DegenerateCokernelError` is raised.
+    """
+    grid = coeffs.grid if grid is None else grid
+    a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
+    return _cokernel_pair(coeffs, grid, *np.linalg.svd(a)[:2])
 
 
 def quasimomentum_from_pairings(pair: CokernelPair, ip_plus: complex,
@@ -146,23 +155,6 @@ class GaugeSolution:
         }
 
 
-def _lstsq_zero_mean(a_full: np.ndarray, rhs: np.ndarray, grid: FourierGrid):
-    """Least squares for A x = rhs over zero-mean x (the N = 0 column removed)."""
-    zero_col = grid.mode_index(0, 0)
-    keep = np.arange(grid.n_modes) != zero_col
-    a = a_full[:, keep]
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    if cond > TOLERANCES["gauge_condition_limit"]:
-        raise IllConditionedError(
-            f"restricted least-squares condition number {cond:.3e} exceeds limit")
-    x = vh.conj().T @ ((u.conj().T @ rhs) / s)
-    full = np.zeros(grid.n_modes, dtype=np.complex128)
-    full[keep] = x
-    residual = float(np.linalg.norm(a @ x - rhs))
-    return full, residual, cond
-
-
 def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicScalarField,
                 grid: FourierGrid | None = None,
                 pair: CokernelPair | None = None) -> GaugeSolution:
@@ -175,8 +167,10 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     (Phi, Psi); the ``realness_flag`` records whether that symmetry held.
     """
     grid = coeffs.grid if grid is None else grid
+    a_p = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
+    u, s, vh = np.linalg.svd(a_p)
     if pair is None:
-        pair = cokernel_vectors(coeffs, grid)
+        pair = _cokernel_pair(coeffs, grid, u, s)
 
     c_p = PeriodicScalarField(grid, c1.coeffs + 1j * c2.coeffs)
     c_m = PeriodicScalarField(grid, c1.coeffs - 1j * c2.coeffs)
@@ -190,10 +184,19 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     rhs_p = c_p.coeffs - w1 * coeffs.c_plus().coeffs - 1j * w2 * coeffs.h.coeffs
     rhs_m = c_m.coeffs - w1 * coeffs.c_minus().coeffs + 1j * w2 * coeffs.h.coeffs
 
-    a_p = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
+    # Zero-mean least squares from the leading r = n - 1 triplets; Phi_- = R conj(x).
+    r = grid.n_modes - 1
+    cond = float(s[0] / s[r - 1]) if s[r - 1] > 0 else np.inf
+    if cond > TOLERANCES["gauge_condition_limit"]:
+        raise IllConditionedError(
+            f"restricted least-squares condition number {cond:.3e} exceeds limit")
+    rhs = np.column_stack([rhs_p, np.conj(rhs_m[::-1])])
+    x = vh[:r].conj().T @ ((u[:, :r].conj().T @ rhs) / s[:r, None])
+    x[grid.mode_index(0, 0)] = 0.0
+    phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
     a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-", grid).matrix
-    phi_p, res_p, cond_p = _lstsq_zero_mean(a_p, rhs_p, grid)
-    phi_m, res_m, cond_m = _lstsq_zero_mean(a_m, rhs_m, grid)
+    res_p = float(np.linalg.norm(a_p @ phi_p - rhs_p))
+    res_m = float(np.linalg.norm(a_m @ phi_m - rhs_m))
 
     phi = PeriodicScalarField(grid, 0.5 * (phi_p + phi_m))
     psi = PeriodicScalarField(grid, 0.5j * (phi_p - phi_m))
@@ -205,7 +208,7 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
                     and phi.is_real(tol) and psi.is_real(tol))
     return GaugeSolution(phi=phi, psi=psi, k=k, kappa=kappa,
                          residual_plus=res_p, residual_minus=res_m,
-                         condition_plus=cond_p, condition_minus=cond_m,
+                         condition_plus=cond, condition_minus=cond,
                          realness_flag=realness, pair=pair)
 
 

@@ -21,7 +21,10 @@ is realised by composing with truncated multiplication operators.
 Every operator carries two independent evaluation routes: a dense Galerkin
 matrix assembled from convolution matrices, and a matrix-free FFT application
 (transform, multiply, transform back).  The two routes are kept separate so
-they can cross-check each other.
+they can cross-check each other.  The FFT route transforms a batch laid out
+batch-first, (B, S, S), with ``scipy.fft``; that module is imported on the
+first matrix-free apply rather than at import time, because runs that only
+assemble dense fibers never need it and would pay its import time and memory.
 """
 
 from __future__ import annotations
@@ -124,21 +127,21 @@ class _MultKernel:
     """FFT-based application of a multiplication operator (batched)."""
 
     def __init__(self, field: PeriodicScalarField):
-        self.grid = field.grid
+        g = field.grid
+        self.side = g.sample_resolution
+        self.flat = (g.n1 % self.side) * self.side + g.n2 % self.side
         self.samples = field.samples()
 
     def _run(self, vec: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        g = self.grid
-        s = g.sample_resolution
-        batched = vec.ndim == 2
-        v = vec if batched else vec[:, None]
-        spec = np.zeros((s, s, v.shape[1]), dtype=np.complex128)
-        spec[g.n1 % s, g.n2 % s, :] = v
-        phys = np.fft.ifft2(spec, axes=(0, 1))
-        phys *= samples[:, :, None]
-        out_spec = np.fft.fft2(phys, axes=(0, 1))
-        out = out_spec[g.n1 % s, g.n2 % s, :]
-        return out if batched else out[:, 0]
+        import scipy.fft  # deferred to the first apply (see the module docstring)
+        s = self.side
+        v = vec.T if vec.ndim == 2 else vec[None, :]
+        spec = np.zeros((v.shape[0], s * s), dtype=np.complex128)
+        spec[:, self.flat] = v
+        phys = scipy.fft.ifft2(spec.reshape(-1, s, s), axes=(1, 2), overwrite_x=True)
+        phys *= samples
+        out = scipy.fft.fft2(phys, axes=(1, 2), overwrite_x=True).reshape(-1, s * s)[:, self.flat]
+        return out.T if vec.ndim == 2 else out[0]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self._run(vec, self.samples)
@@ -398,28 +401,23 @@ def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z,
     blocks; ``mu`` adds the i mu H shift to both off-diagonal entries.
     """
     grid = coeffs.grid if grid is None else grid
-    dp = assemble_dpm(coeffs, z, mu, "+", grid)
-    dm = assemble_dpm(coeffs, z, mu, "-", grid)
-    b00 = b11 = None
-    b01, b10 = dm, dp
+    blocks = [[None, assemble_dpm(coeffs, z, mu, "-", grid)],
+              [assemble_dpm(coeffs, z, mu, "+", grid), None]]
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")
-        b00 = multiplication_operator(V.v0 + V.v3)
-        b11 = multiplication_operator(V.v0 - V.v3)
-        b01 = b01 + multiplication_operator(
-            PeriodicScalarField(grid, V.v1.coeffs - 1j * V.v2.coeffs))
-        b10 = b10 + multiplication_operator(
-            PeriodicScalarField(grid, V.v1.coeffs + 1j * V.v2.coeffs))
-    op = block_operator([[b00, b01], [b10, b11]])
+        # An identically zero component adds no block (no matrix, no FFT kernel).
+        for i, j, coeffs_ij in ((0, 0, V.v0.coeffs + V.v3.coeffs),
+                                (1, 1, V.v0.coeffs - V.v3.coeffs),
+                                (0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
+                                (1, 0, V.v1.coeffs + 1j * V.v2.coeffs)):
+            if np.any(coeffs_ij):
+                mult = multiplication_operator(PeriodicScalarField(grid, coeffs_ij))
+                blocks[i][j] = mult if blocks[i][j] is None else blocks[i][j] + mult
+    op = block_operator(blocks)
     op.meta.update({"kind": "dirac", "z": (_as_quasimomentum(z).z1, _as_quasimomentum(z).z2),
                     "mu": float(mu)})
     return op
-
-
-def apply_operator(op: TruncatedOperator, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free application (equals the dense product to rounding)."""
-    return op.apply(vec)
 
 
 # ---------------------------------------------------------------------------

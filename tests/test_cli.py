@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 import dirac2d as d
@@ -159,6 +160,29 @@ class TestExitCodes:
                    "--set", "coefficients.G={constant: 0.1}",
                    "--set", "coefficients.q=0.5")
         assert code == 4
+
+
+# Edge configs that once escaped as a raw ValueError (exit 1, traceback).
+EDGE_CONFIGS = [
+    ("verify", "verify.counting.a_values=[1.0]"),
+    ("verify", "verify.trials=0"),
+    ("sweep", "sweep.mu_grid.count=0"),
+    ("sweep", "sweep.k2_grid=[]"),
+    ("bands", "bands.k_grid.n1=0"),
+    ("wiener", "wiener.n_max=0"),
+    ("profile", "profile.eps_grid=[]"),
+]
+
+
+@pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
+def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
+    code = run(sub, "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", assignment)
+    err = capsys.readouterr().err
+    assert code in (2, 4)
+    assert "Traceback" not in err
+    assert err.startswith(("config schema error:", "inadmissible parameters:"))
 
 
 class TestDeterminism:

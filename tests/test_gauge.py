@@ -146,6 +146,70 @@ class TestSolveGauge:
         assert np.max(np.abs(back.coeffs - sol.phi.coeffs)) < 1e-15
 
 
+def reference_zero_mean_lstsq(a, rhs, grid):
+    """Least squares for a x = rhs over zero-mean x, straight from LAPACK's lstsq."""
+    keep = np.arange(grid.n_modes) != grid.mode_index(0, 0)
+    x = np.zeros(grid.n_modes, dtype=complex)
+    x[keep] = np.linalg.lstsq(a[:, keep], rhs, rcond=None)[0]
+    return x
+
+
+def gauge_rhs_minus(cs, c1, c2, sol):
+    """C'_- = C_- - (G - iF)(k_1 + i kappa_1) + iH(k_2 + i kappa_2)."""
+    w1 = complex(sol.k[0], sol.kappa[0])
+    w2 = complex(sol.k[1], sol.kappa[1])
+    return c1.coeffs - 1j * c2.coeffs - w1 * cs.c_minus().coeffs + 1j * w2 * cs.h.coeffs
+
+
+class TestSingleFactorization:
+    def test_phi_minus_matches_reference_solve(self):
+        grid = d.FourierGrid(4, 18)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            cs = d.random_gamma_instance(grid, rng)
+            c1 = d.random_trig_field(grid, rng, 2, 0.5, real=False)
+            c2 = d.random_trig_field(grid, rng, 2, 0.5, real=False)
+            a_m = 1j * d.assemble_dpm(cs, (0.0, 0.0), 0.0, "-").matrix
+            for pair in (None, d.cokernel_vectors(cs)):
+                sol = d.solve_gauge(cs, c1, c2, pair=pair)
+                ref = reference_zero_mean_lstsq(a_m, gauge_rhs_minus(cs, c1, c2, sol), grid)
+                phi_minus = sol.phi.coeffs + 1j * sol.psi.coeffs
+                assert np.max(np.abs(phi_minus - ref)) < 1e-12
+
+    def test_residual_minus_measured_on_assembled_dminus(self):
+        # A non-real F breaks i d_-(0) = R conj(i d_+(0)) R; the minus residual
+        # must show it, while the plus equation is still solved to rounding.
+        grid, cs, rng = random_set(m=4, seed=22)
+        f = cs.f.coeffs.copy()
+        f[grid.mode_index(1, 0)] += 0.05
+        object.__setattr__(cs, "f", d.PeriodicScalarField(grid, f))
+        c1 = d.random_trig_field(grid, rng, 2, 0.5)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5)
+        sol = d.solve_gauge(cs, c1, c2)
+        a_m = 1j * d.assemble_dpm(cs, (0.0, 0.0), 0.0, "-").matrix
+        phi_minus = sol.phi.coeffs + 1j * sol.psi.coeffs
+        measured = np.linalg.norm(a_m @ phi_minus - gauge_rhs_minus(cs, c1, c2, sol))
+        assert sol.residual_plus < 1e-12
+        assert sol.residual_minus > 1e-4
+        assert sol.residual_minus == pytest.approx(measured, rel=1e-8)
+
+    @pytest.mark.parametrize("with_pair", [False, True])
+    def test_one_svd_per_solve(self, monkeypatch, with_pair):
+        grid, cs, rng = random_set(m=4, seed=23)
+        pair = d.cokernel_vectors(cs) if with_pair else None
+        c1 = d.random_trig_field(grid, rng, 2, 0.5)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(d.gauge.np.linalg, "svd", counting_svd)
+        d.solve_gauge(cs, c1, c2, pair=pair)
+        assert len(calls) == 1
+
+
 class TestCanonicalGauge:
     def test_constant_case(self):
         _, cs = constant_set()

@@ -1,5 +1,10 @@
 """Operator assembly: fibers, block layout, dual evaluation routes, gauge conjugation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -124,7 +129,7 @@ class TestApplication:
         vec = np.zeros(2 * grid.n_modes, dtype=complex)
         vec[grid.mode_index(0, 0)] = 1.0
         vec[grid.n_modes + grid.mode_index(0, 0)] = 1.0
-        out = d.apply_operator(op, vec)
+        out = op.apply(vec)
         # D(k) swaps components with symbol k1 +- i k2 at the zero mode.
         assert out[grid.mode_index(0, 0)] == pytest.approx(1.0)
         assert out[grid.n_modes + grid.mode_index(0, 0)] == pytest.approx(1.0)
@@ -166,6 +171,56 @@ class TestApplication:
         lhs = np.vdot(w, op.apply(v))
         rhs = np.vdot(op.adjoint_apply(w), v)
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+    def test_gauge_conjugated_composition_batched(self):
+        # Zero V0/V3 leaves the diagonal potential blocks out of the operator.
+        grid, cs, rng = random_set(m=4, seed=12)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        V = d.MatrixPotential(v0=zero, v1=d.random_trig_field(grid, rng, 2, 0.4),
+                              v2=d.random_trig_field(grid, rng, 2, 0.4), v3=zero)
+        phi = d.random_trig_field(grid, rng, 2, 0.3)
+        psi = d.random_trig_field(grid, rng, 2, 0.3)
+        z = d.ComplexQuasimomentum((0.6, -0.3), (0.2, 0.5))
+        op = d.gauge_conjugate(d.assemble_dirac(cs, V, z), phi, psi, 0.8)
+        op = op @ d.assemble_dirac(cs, None, (0.1, 0.2))
+        x = rng.standard_normal((op.dim, 6)) + 1j * rng.standard_normal((op.dim, 6))
+        for got, ref in ((op.apply(x), op.matrix @ x),
+                         (op.adjoint_apply(x), op.matrix.conj().T @ x)):
+            assert np.linalg.norm(got - ref) < 1e-10 * np.linalg.norm(ref)
+
+    def test_zero_potential_components_add_no_kernel(self, monkeypatch):
+        grid, cs, rng = random_set(m=4, seed=13)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        v1 = d.random_trig_field(grid, rng, 2, 0.4)
+        v2 = d.random_trig_field(grid, rng, 2, 0.4)
+        made = []
+        init = d.operators._MultKernel.__init__
+
+        def counting_init(self, field):
+            made.append(field)
+            init(self, field)
+        monkeypatch.setattr(d.operators._MultKernel, "__init__", counting_init)
+        op = d.assemble_dirac(cs, d.MatrixPotential(zero, v1, v2, zero), (0.3, 0.4))
+        assert len(made) == 6  # two terms in each of d_pm, plus V1 -+ iV2
+        # The dense matrix equals the layout with explicit (zero) diagonal blocks.
+        conv = d.operators._convolution_matrix
+        n = grid.n_modes
+        ref = np.zeros((2 * n, 2 * n), dtype=complex)
+        ref[:n, n:] = (d.assemble_dpm(cs, (0.3, 0.4), 0.0, "-").matrix
+                       + conv(d.PeriodicScalarField(grid, v1.coeffs - 1j * v2.coeffs)))
+        ref[n:, :n] = (d.assemble_dpm(cs, (0.3, 0.4), 0.0, "+").matrix
+                       + conv(d.PeriodicScalarField(grid, v1.coeffs + 1j * v2.coeffs)))
+        assert np.max(np.abs(op.matrix - ref)) < 1e-13
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        # scipy.fft is imported on the first matrix-free apply, not with the package.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, dirac2d; print('scipy.fft' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_dimension_mismatch(self):
         _, cs = constant_set(2)
