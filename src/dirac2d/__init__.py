@@ -36,7 +36,6 @@ from .fourier import (
     field_from_records,
     field_to_json,
     field_to_records,
-    fourier_to_sample,
     index_set_T,
     load_field,
     mode_weights,
@@ -51,7 +50,6 @@ from .operators import (
     assemble_dirac,
     assemble_dpm,
     gauge_conjugate,
-    identity_operator,
     multiplication_operator,
     restricted_operator_distance,
 )
@@ -67,7 +65,6 @@ from .gauge import (
     quasimomentum_from_pairings,
     solve_canonical_gauge,
     solve_gauge,
-    verify_cokernel_formula,
     z_map,
     z_map_diagnostics,
 )
@@ -96,6 +93,6 @@ from .analysis import (
     verify_coercivity,
     wiener_average,
 )
-from .instances import random_gamma_instance, random_spinor, random_trig_field
+from .instances import random_gamma_instance, random_trig_field
 
 __version__ = "0.1.0"

@@ -52,12 +52,12 @@ from .fourier import (
     weighted_norm,
 )
 from .operators import (
+    ComplexQuasimomentum,
     MatrixPotential,
     TruncatedOperator,
     assemble_dirac,
     assemble_dpm,
     multiplication_operator,
-    block_operator,
 )
 
 
@@ -238,7 +238,6 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         _, _, mu, k2 = task
         k = np.array([sweep.k1, k2]) + kp
         kap = mu * e + cp
-        from .operators import ComplexQuasimomentum
         z = ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1]))
         op = assemble_dirac(coeffs, V, z, grid)
         return smallest_singular_value(op, dense_limit=dense_limit)
@@ -315,10 +314,8 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     on the truncated space; the square root of the positive part is returned.
     This upper-bounds the affine constant since sqrt(a^2 + b^2) <= a + b.
     """
-    from .operators import _convolution_matrix
-
     grid = w_field.grid
-    c = _convolution_matrix(w_field)
+    c = multiplication_operator(w_field).matrix
     ctc = c.conj().T @ c
     if np.max(np.abs(ctc)) == 0.0:
         return np.zeros(eps_grid.size)
@@ -490,7 +487,7 @@ class WienerReport:
         return float(self.averages[n - 1])
 
 
-def _required_resolution(psi: PeriodicScalarField, n_max: int) -> tuple[int, int]:
+def required_resolution(psi: PeriodicScalarField, n_max: int) -> tuple[int, int]:
     """Per-axis sample counts giving >= 8 samples per oscillation at nu = n_max."""
     per = DEFAULTS["phase_samples_per_oscillation"]
     fine = 4 * psi.grid.side
@@ -513,7 +510,7 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    req = _required_resolution(psi, n_max)
+    req = required_resolution(psi, n_max)
     if resolution is None:
         s1, s2 = req
     else:
@@ -567,16 +564,11 @@ def coercivity_operator(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                         mu: float, k) -> TruncatedOperator:
     """Assemble D(k) + i mu H sigma_1 + e^{2 i mu sigma_3 Psi}(V0~ I + V3~ sigma_3)."""
     grid = coeffs.grid
-    dp = assemble_dpm(coeffs, (k[0], k[1]), mu, "+", grid)
-    dm = assemble_dpm(coeffs, (k[0], k[1]), mu, "-", grid)
-    vplus = vtilde0 + vtilde3
-    vminus = vtilde0 - vtilde3
+    fiber = assemble_dirac(coeffs, None, (k[0], k[1]), grid, mu=mu)
     ps = psi.samples()
-    b00 = multiplication_operator(
-        sample_to_fourier(np.exp(2j * mu * ps) * vplus.samples(), grid))
-    b11 = multiplication_operator(
-        sample_to_fourier(np.exp(-2j * mu * ps) * vminus.samples(), grid))
-    return block_operator([[b00, dm], [dp, b11]])
+    b00 = sample_to_fourier(np.exp(2j * mu * ps) * (vtilde0 + vtilde3).samples(), grid)
+    b11 = sample_to_fourier(np.exp(-2j * mu * ps) * (vtilde0 - vtilde3).samples(), grid)
+    return TruncatedOperator(grid, 2, [fiber.factors[0] + ((0, 0, b00, None), (1, 1, b11, None))])
 
 
 def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,

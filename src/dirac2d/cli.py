@@ -31,6 +31,7 @@ from .analysis import (
     cross_term_check,
     estimate_c1_c2,
     potential_profile,
+    required_resolution,
     sigma_min_sweep,
     sweep_direction_from_gauge,
     verify_coercivity,
@@ -58,7 +59,6 @@ from .fourier import (
 )
 from .gauge import solve_canonical_gauge
 from .operators import MatrixPotential
-from .analysis import _required_resolution
 
 SUBCOMMANDS = ("bands", "sweep", "gauge", "verify", "wiener", "profile", "validate")
 
@@ -118,6 +118,35 @@ def check_schema(cfg: dict, subcommand: str) -> None:
     for key in ("seed", "workers"):
         if key in cfg and not isinstance(cfg[key], int):
             raise ConfigSchemaError(f"config.{key} must be an integer")
+    # Empty grids, zero counts and non-finite scalars of the subcommand's own
+    # section fail here, naming the key, before any work starts.
+    section = cfg.get(subcommand)
+    if not isinstance(section, dict):
+        return
+    for key in {"bands": ("k_grid",), "sweep": ("mu_grid", "k2_grid")}.get(subcommand, ()):
+        spec = section.get(key)
+        if isinstance(spec, dict):
+            parts = ((("n1", 1), ("n2", 1)) if key == "k_grid"
+                     else (("start", None), ("stop", None), ("count", 1)))
+            for part, least in parts:
+                _number(spec.get(part), f"{subcommand}.{key}.{part}", least)
+        elif key in section and not (isinstance(spec, list) and spec):
+            raise ConfigSchemaError(f"{subcommand}.{key}: expected a non-empty list, got {spec!r}")
+    for key, least in {"verify": [("trials", 1)],
+                       "wiener": [("n_max", 1), ("theta", None)]}.get(subcommand, []):
+        if key in section:
+            _number(section[key], f"{subcommand}.{key}", least)
+
+
+def _number(value, key: str, least: float | None = None) -> None:
+    """Reject a non-finite number (YAML reads ``nan`` as text) or one below ``least``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if not np.isfinite(x) or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigSchemaError(f"{key}: expected a finite number{bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +615,7 @@ def run_validate(ctx: RunContext) -> int:
             psi_spec = wiener_cfg.get("psi", {"constant": 0.0})
             if psi_spec != "canonical":
                 psi = build_field(psi_spec, grid, ctx)
-                req = _required_resolution(psi, int(wiener_cfg.get("n_max", 256)))
+                req = required_resolution(psi, int(wiener_cfg.get("n_max", 256)))
                 res = wiener_cfg["resolution"]
                 res = (res, res) if np.isscalar(res) else tuple(res)
                 if res[0] < req[0] or res[1] < req[1]:

@@ -97,9 +97,6 @@ class FourierGrid:
         x = np.arange(self.sample_resolution) / self.sample_resolution
         return np.meshgrid(x, x, indexing="ij")
 
-    def _wrapped(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.n1 % resolution, self.n2 % resolution
-
 
 def _resolve_resolution(grid: FourierGrid, resolution) -> tuple[int, int]:
     if resolution is None:
@@ -144,10 +141,6 @@ class PeriodicScalarField:
             c[grid.mode_index(n1, n2)] = val
         return cls(grid, c)
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, grid: FourierGrid) -> "PeriodicScalarField":
-        return sample_to_fourier(samples, grid)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -161,10 +154,6 @@ class PeriodicScalarField:
     def is_real(self, tol: float = TOLERANCES["field_real_symmetry"]) -> bool:
         """True when the coefficients satisfy phi_{-N} = conj(phi_N) within tol."""
         return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) <= tol)
-
-    def conj_function(self) -> "PeriodicScalarField":
-        """Coefficients of conj(phi): (conj phi)_N = conj(phi_{-N})."""
-        return PeriodicScalarField(self.grid, np.conj(self.coeffs[::-1]))
 
     def hermitian_part(self) -> "PeriodicScalarField":
         """Real part of the field as a function, (phi + conj(phi)) / 2."""
@@ -236,8 +225,7 @@ def sample_to_fourier(samples: np.ndarray, grid: FourierGrid) -> PeriodicScalarF
     """Fourier coefficients of an S x S sample table.
 
     The samples must be taken at x = (i/S, j/S).  The returned field keeps the
-    modes |N|_inf <= M; on band-limited input this inverts
-    :func:`fourier_to_sample` exactly.
+    modes |N|_inf <= M.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     s = grid.sample_resolution
@@ -245,11 +233,6 @@ def sample_to_fourier(samples: np.ndarray, grid: FourierGrid) -> PeriodicScalarF
         raise GridMismatchError(f"sample table has shape {samples.shape}, expected {(s, s)}")
     spec = np.fft.fft2(samples) / (s * s)
     return PeriodicScalarField(grid, spec[grid.n1 % s, grid.n2 % s].copy())
-
-
-def fourier_to_sample(phi: PeriodicScalarField) -> np.ndarray:
-    """Samples of a field on its grid's S x S quadrature points."""
-    return phi.samples()
 
 
 def convolve(a: PeriodicScalarField, b: PeriodicScalarField) -> PeriodicScalarField:
@@ -375,9 +358,6 @@ class IndexSet:
 
     def modes(self) -> list[tuple[int, int]]:
         return [tuple(int(v) for v in nm) for nm in self.grid.mode_numbers[self.mask]]
-
-    def complement_mask(self) -> np.ndarray:
-        return ~self.mask
 
 
 def index_set_T(weights: ModeWeights, a: float, sign: str) -> IndexSet:

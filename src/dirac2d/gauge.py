@@ -288,12 +288,6 @@ def cokernel_formula_fit(coeffs: CoefficientSet, canonical: CanonicalGauge,
     return c6, residual
 
 
-def verify_cokernel_formula(coeffs: CoefficientSet, canonical: CanonicalGauge,
-                            pair: CokernelPair | None = None) -> float:
-    """Residual min_c ||chi_+ - c (GH)^{-1}(d_+ Psi - H)||; decays as M grows."""
-    return cokernel_formula_fit(coeffs, canonical, pair)[1]
-
-
 # ---------------------------------------------------------------------------
 # The plane map Z and its diagnostics
 # ---------------------------------------------------------------------------

@@ -59,8 +59,3 @@ def random_gamma_instance(grid: FourierGrid, rng: np.random.Generator, p: float 
     f = random_trig_field(grid, rng, degree, variation * (f_bound - abs(f_base))) + f_base
     return CoefficientSet(g=g, h=h, f=f, p=p, q=q, f_bound=f_bound)
 
-
-def random_spinor(grid: FourierGrid, rng: np.random.Generator) -> np.ndarray:
-    """Random complex two-component coefficient vector (unnormalised)."""
-    n = 2 * grid.n_modes
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -16,14 +16,20 @@ The two-component fiber is the block arrangement
 
 optionally augmented by a matrix potential V0*I + sum_l Vl*sigma_l, and gauge
 conjugation by e^{mu sigma_3 Psi} e^{-i mu Phi} (...) e^{i mu Phi} e^{mu sigma_3 Psi}
-is realised by composing with truncated multiplication operators.
+is realised by one more multiplication factor on each side of the fiber.
 
-Every operator carries two independent evaluation routes: a dense Galerkin
-matrix assembled from convolution matrices, and a matrix-free FFT application
-(transform, multiply, transform back).  The two routes are kept separate so
-they can cross-check each other.  The FFT route transforms a batch laid out
-batch-first, (B, S, S), with ``scipy.fft``; that module is imported on the
-first matrix-free apply rather than at import time, because runs that only
+Every operator is held in one form: a product of factors, each factor a sum
+of terms (i, j, field, diag) that map spinor component j to component i by
+multiplying with the diagonal symbol and then with the field.  Both
+evaluation routes derive from those terms: the dense Galerkin matrix writes
+each factor's convolution blocks into one array and multiplies the factors;
+the matrix-free route applies each term by FFT (transform, multiply,
+transform back), factor by factor.  The two routes share no arithmetic, so
+they cross-check each other.  The FFT route transforms a batch laid out
+batch-first, (B, S, S), with ``scipy.fft``.  Each term allocates and frees
+its own work array, so a batched apply holds one such array at a time; at
+M = 16 and B = 578 it is 38 MiB.  ``scipy.fft`` is imported on the first
+matrix-free apply rather than at import time, because runs that only
 assemble dense fibers never need it and would pay its import time and memory.
 """
 
@@ -67,10 +73,6 @@ class ComplexQuasimomentum:
     def real(cls, k) -> "ComplexQuasimomentum":
         return cls((float(k[0]), float(k[1])))
 
-    @classmethod
-    def from_complex(cls, z1: complex, z2: complex) -> "ComplexQuasimomentum":
-        return cls((z1.real, z2.real), (z1.imag, z2.imag))
-
 
 @dataclass(frozen=True)
 class MatrixPotential:
@@ -109,7 +111,7 @@ class MatrixPotential:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels: convolution matrices and FFT application
+# Terms: convolution matrices and FFT application
 # ---------------------------------------------------------------------------
 
 def _convolution_matrix(field: PeriodicScalarField) -> np.ndarray:
@@ -123,70 +125,20 @@ def _convolution_matrix(field: PeriodicScalarField) -> np.ndarray:
     return w[d1, d2]
 
 
-class _MultKernel:
-    """FFT-based application of a multiplication operator (batched)."""
+def _multiply(vec: np.ndarray, samples: np.ndarray, grid: FourierGrid) -> np.ndarray:
+    """Multiply the columns of ``vec`` (n_modes, B) by a sampled field via FFT.
 
-    def __init__(self, field: PeriodicScalarField):
-        g = field.grid
-        self.side = g.sample_resolution
-        self.flat = (g.n1 % self.side) * self.side + g.n2 % self.side
-        self.samples = field.samples()
-
-    def _run(self, vec: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        import scipy.fft  # deferred to the first apply (see the module docstring)
-        s = self.side
-        v = vec.T if vec.ndim == 2 else vec[None, :]
-        spec = np.zeros((v.shape[0], s * s), dtype=np.complex128)
-        spec[:, self.flat] = v
-        phys = scipy.fft.ifft2(spec.reshape(-1, s, s), axes=(1, 2), overwrite_x=True)
-        phys *= samples
-        out = scipy.fft.fft2(phys, axes=(1, 2), overwrite_x=True).reshape(-1, s * s)[:, self.flat]
-        return out.T if vec.ndim == 2 else out[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._run(vec, self.samples)
-
-    def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        # Adjoint of multiplication by W is multiplication by conj(W).
-        return self._run(vec, np.conj(self.samples))
-
-
-class _ScalarBlock:
-    """Sum of terms  M_field . Diag(symbol)  on one spinor component."""
-
-    def __init__(self, grid: FourierGrid, terms):
-        # terms: iterable of (field | None, diag ndarray | None)
-        self.grid = grid
-        self.terms = []
-        for field, diag in terms:
-            kernel = None if field is None else _MultKernel(field)
-            d = None if diag is None else np.asarray(diag, dtype=np.complex128)
-            self.terms.append((field, kernel, d))
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        for _, kernel, diag in self.terms:
-            w = vec if diag is None else (diag[:, None] * vec if vec.ndim == 2 else diag * vec)
-            out += w if kernel is None else kernel.apply(w)
-        return out
-
-    def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        for _, kernel, diag in self.terms:
-            w = vec if kernel is None else kernel.adjoint_apply(vec)
-            if diag is not None:
-                cd = np.conj(diag)
-                w = cd[:, None] * w if w.ndim == 2 else cd * w
-            out += w
-        return out
-
-    def dense(self) -> np.ndarray:
-        n = self.grid.n_modes
-        out = np.zeros((n, n), dtype=np.complex128)
-        for field, _, diag in self.terms:
-            c = np.eye(n, dtype=np.complex128) if field is None else _convolution_matrix(field)
-            out += c if diag is None else c * diag[None, :]
-        return out
+    The (B, S, S) work array lives only in this frame, so it is freed before
+    the caller moves on to the next term and allocates another one.
+    """
+    import scipy.fft  # deferred to the first apply (see the module docstring)
+    s = grid.sample_resolution
+    flat = (grid.n1 % s) * s + grid.n2 % s
+    spec = np.zeros((vec.shape[1], s * s), dtype=np.complex128)
+    spec[:, flat] = vec.T
+    phys = scipy.fft.ifft2(spec.reshape(-1, s, s), axes=(1, 2), overwrite_x=True)
+    phys *= samples
+    return scipy.fft.fft2(phys, axes=(1, 2), overwrite_x=True).reshape(-1, s * s)[:, flat].T
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +148,26 @@ class _ScalarBlock:
 class TruncatedOperator:
     """A linear map on (C^nc tensor retained modes) with dual evaluation routes.
 
+    The operator is the product ``factors[0] @ factors[1] @ ...``.  Each factor
+    is a tuple of terms ``(i, j, field, diag)``: the map from spinor component
+    j to component i that multiplies by the diagonal symbol ``diag`` (None
+    means 1) and then by ``field``; a factor is the sum of its terms.
+
     ``apply`` runs the matrix-free FFT route (cost O(M^2 log M) per vector);
     ``matrix`` assembles the dense Galerkin matrix from convolution matrices.
-    Both describe the same truncated operator and agree to rounding.
+    Both describe the same truncated operator and agree to rounding.  The
+    field samples the FFT route needs are computed on the first apply.
     Instances are immutable once assembled and safe to share across workers.
     """
 
-    def __init__(self, grid: FourierGrid, n_components: int, apply_fn, adjoint_fn,
-                 dense_fn, meta: dict | None = None):
+    def __init__(self, grid: FourierGrid, n_components: int, factors,
+                 meta: dict | None = None):
         self.grid = grid
         self.n_components = n_components
-        self._apply = apply_fn
-        self._adjoint = adjoint_fn
-        self._dense = dense_fn
+        self.factors = tuple(tuple(factor) for factor in factors)
         self.meta = dict(meta or {})
         self._matrix = None
+        self._samples = None
 
     @property
     def dim(self) -> int:
@@ -222,60 +179,59 @@ class TruncatedOperator:
             raise GridMismatchError(f"vector shape {vec.shape} does not match dim {self.dim}")
         return vec
 
+    def _run(self, vec: np.ndarray, adjoint: bool) -> np.ndarray:
+        vec = self._check(vec)
+        if self._samples is None:
+            self._samples = [[field.samples() for _, _, field, _ in factor]
+                             for factor in self.factors]
+        pairs = list(zip(self.factors, self._samples))
+        x = vec.reshape(self.n_components, self.grid.n_modes, -1)
+        for factor, samples in (pairs if adjoint else pairs[::-1]):
+            # Terms accumulate in the order the builder lists them (see assemble_dirac).
+            out = np.zeros_like(x)
+            for (i, j, _, diag), smp in zip(factor, samples):
+                if adjoint:
+                    # Adjoint of multiplication by W is multiplication by conj(W).
+                    w = _multiply(x[i], np.conj(smp), self.grid)
+                    out[j] += w if diag is None else np.conj(diag)[:, None] * w
+                else:
+                    out[i] += _multiply(x[j] if diag is None else diag[:, None] * x[j],
+                                        smp, self.grid)
+            x = out
+        return x.reshape(vec.shape)
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free application; accepts a vector or a (dim, B) batch."""
-        return self._apply(self._check(vec))
+        return self._run(vec, adjoint=False)
 
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._adjoint(self._check(vec))
+        return self._run(vec, adjoint=True)
+
+    def _factor_matrix(self, factor) -> np.ndarray:
+        n = self.grid.n_modes
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for i, j, field, diag in factor:
+            c = _convolution_matrix(field)
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] += c if diag is None else c * diag
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense Galerkin matrix (built lazily, cached)."""
         if self._matrix is None:
-            self._matrix = self._dense()
+            out = self._factor_matrix(self.factors[-1])
+            for factor in reversed(self.factors[:-1]):
+                out = self._factor_matrix(factor) @ out
+            self._matrix = out
         return self._matrix
-
-    # -- algebra -------------------------------------------------------------
 
     def _require_compatible(self, other: "TruncatedOperator"):
         if self.grid != other.grid or self.n_components != other.n_components:
             raise GridMismatchError("operators are structurally incompatible")
 
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._require_compatible(other)
-        return TruncatedOperator(
-            self.grid, self.n_components,
-            lambda v: self._apply(v) + other._apply(v),
-            lambda v: self._adjoint(v) + other._adjoint(v),
-            lambda: self.matrix + other.matrix,
-            meta={"kind": "sum"},
-        )
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self + (other * (-1.0))
-
-    def __mul__(self, scalar) -> "TruncatedOperator":
-        c = complex(scalar)
-        return TruncatedOperator(
-            self.grid, self.n_components,
-            lambda v: c * self._apply(v),
-            lambda v: np.conj(c) * self._adjoint(v),
-            lambda: c * self.matrix,
-            meta={"kind": "scaled", **self.meta},
-        )
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         self._require_compatible(other)
-        return TruncatedOperator(
-            self.grid, self.n_components,
-            lambda v: self._apply(other._apply(v)),
-            lambda v: other._adjoint(self._adjoint(v)),
-            lambda: self.matrix @ other.matrix,
-            meta={"kind": "composition"},
-        )
+        return TruncatedOperator(self.grid, self.n_components, self.factors + other.factors)
 
     # -- export ----------------------------------------------------------------
 
@@ -296,76 +252,29 @@ class TruncatedOperator:
         }
 
 
-def _scalar_operator(grid: FourierGrid, terms, meta=None) -> TruncatedOperator:
-    block = _ScalarBlock(grid, terms)
-    return TruncatedOperator(grid, 1, block.apply, block.adjoint_apply, block.dense, meta)
-
-
 def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     """Truncated multiplication by a scalar field."""
-    return _scalar_operator(field.grid, [(field, None)], meta={"kind": "mult"})
-
-
-def identity_operator(grid: FourierGrid, n_components: int = 1) -> TruncatedOperator:
-    eye = lambda v: v.copy()
-    n = n_components * grid.n_modes
-    return TruncatedOperator(grid, n_components, eye, eye,
-                             lambda: np.eye(n, dtype=np.complex128), meta={"kind": "identity"})
-
-
-def block_operator(blocks) -> TruncatedOperator:
-    """Assemble a 2x2 spinor operator from scalar blocks (None = zero block)."""
-    grid = None
-    for row in blocks:
-        for b in row:
-            if b is not None:
-                grid = b.grid
-    if grid is None:
-        raise ValueError("all blocks are empty")
-    n = grid.n_modes
-
-    def apply_fn(vec):
-        v0, v1 = vec[:n], vec[n:]
-        parts = []
-        for row in blocks:
-            acc = np.zeros_like(v0)
-            for b, comp in zip(row, (v0, v1)):
-                if b is not None:
-                    acc = acc + b.apply(comp)
-            parts.append(acc)
-        return np.concatenate(parts, axis=0)
-
-    def adjoint_fn(vec):
-        v0, v1 = vec[:n], vec[n:]
-        parts = []
-        for j in range(2):
-            acc = np.zeros_like(v0)
-            for i, comp in zip(range(2), (v0, v1)):
-                b = blocks[i][j]
-                if b is not None:
-                    acc = acc + b.adjoint_apply(comp)
-            parts.append(acc)
-        return np.concatenate(parts, axis=0)
-
-    def dense_fn():
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                if blocks[i][j] is not None:
-                    out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks[i][j].matrix
-        return out
-
-    return TruncatedOperator(grid, 2, apply_fn, adjoint_fn, dense_fn, meta={"kind": "block"})
+    return TruncatedOperator(field.grid, 1, [[(0, 0, field, None)]])
 
 
 # ---------------------------------------------------------------------------
 # Fiber assembly
 # ---------------------------------------------------------------------------
 
-def _as_quasimomentum(z) -> ComplexQuasimomentum:
-    if isinstance(z, ComplexQuasimomentum):
-        return z
-    return ComplexQuasimomentum.real(z)
+def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, grid: FourierGrid,
+               i: int, j: int) -> list:
+    """The two terms of dpm(z) + i mu H, mapping spinor component j to i."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if grid != coeffs.grid:
+        raise GridMismatchError("grid does not match coefficient grid")
+    if not isinstance(z, ComplexQuasimomentum):
+        z = ComplexQuasimomentum.real(z)
+    s = 1.0 if sign == "+" else -1.0
+    d1 = z.z1 + TWO_PI * grid.n1
+    d2 = z.z2 + TWO_PI * grid.n2
+    first = coeffs.c_plus() if sign == "+" else coeffs.c_minus()
+    return [(i, j, first, d1), (i, j, coeffs.h, 1j * (mu + s * d2))]
 
 
 def assemble_dpm(coeffs: CoefficientSet, z, mu: float, sign: str,
@@ -375,22 +284,8 @@ def assemble_dpm(coeffs: CoefficientSet, z, mu: float, sign: str,
     ``sign`` selects the upper or lower combination.  mu = 0 recovers the plain
     fiber dpm(z); the multiplier fields act by convolution.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    z = _as_quasimomentum(z)
     grid = coeffs.grid if grid is None else grid
-    if grid != coeffs.grid:
-        raise GridMismatchError("grid does not match coefficient grid")
-    s = 1.0 if sign == "+" else -1.0
-    d1 = z.z1 + TWO_PI * grid.n1
-    d2 = z.z2 + TWO_PI * grid.n2
-    first = coeffs.c_plus() if sign == "+" else coeffs.c_minus()
-    terms = [
-        (first, d1),
-        (coeffs.h, 1j * (mu + s * d2)),
-    ]
-    return _scalar_operator(grid, terms, meta={"kind": "dpm", "sign": sign,
-                                               "z": (z.z1, z.z2), "mu": float(mu)})
+    return TruncatedOperator(grid, 1, [_dpm_terms(coeffs, z, mu, sign, grid, 0, 0)])
 
 
 def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z,
@@ -401,23 +296,20 @@ def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z,
     blocks; ``mu`` adds the i mu H shift to both off-diagonal entries.
     """
     grid = coeffs.grid if grid is None else grid
-    blocks = [[None, assemble_dpm(coeffs, z, mu, "-", grid)],
-              [assemble_dpm(coeffs, z, mu, "+", grid), None]]
+    terms = _dpm_terms(coeffs, z, mu, "-", grid, 0, 1) + _dpm_terms(coeffs, z, mu, "+", grid, 1, 0)
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")
-        # An identically zero component adds no block (no matrix, no FFT kernel).
-        for i, j, coeffs_ij in ((0, 0, V.v0.coeffs + V.v3.coeffs),
-                                (1, 1, V.v0.coeffs - V.v3.coeffs),
-                                (0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
-                                (1, 0, V.v1.coeffs + 1j * V.v2.coeffs)):
+        # Off-diagonal terms come before diagonal ones, so a matrix-free row
+        # sums (d_-+ + V_offdiag) + V_diag, the same rounding as adding whole
+        # blocks.  An identically zero component adds no term.
+        for i, j, coeffs_ij in ((0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
+                                (1, 0, V.v1.coeffs + 1j * V.v2.coeffs),
+                                (0, 0, V.v0.coeffs + V.v3.coeffs),
+                                (1, 1, V.v0.coeffs - V.v3.coeffs)):
             if np.any(coeffs_ij):
-                mult = multiplication_operator(PeriodicScalarField(grid, coeffs_ij))
-                blocks[i][j] = mult if blocks[i][j] is None else blocks[i][j] + mult
-    op = block_operator(blocks)
-    op.meta.update({"kind": "dirac", "z": (_as_quasimomentum(z).z1, _as_quasimomentum(z).z2),
-                    "mu": float(mu)})
-    return op
+                terms.append((i, j, PeriodicScalarField(grid, coeffs_ij), None))
+    return TruncatedOperator(grid, 2, [terms])
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +350,17 @@ def gauge_conjugate(op: TruncatedOperator, phi: PeriodicScalarField,
     ph = phi.samples()
     ps = psi.samples()
 
-    rows, cols, tails = [], [], {}
-    for name, exponent, bucket in (
-        ("row0", mu * ps - 1j * mu * ph, rows),
-        ("row1", -mu * ps - 1j * mu * ph, rows),
-        ("col0", 1j * mu * ph + mu * ps, cols),
-        ("col1", 1j * mu * ph - mu * ps, cols),
+    left, right, tails = [], [], {}
+    for name, i, exponent, factor in (
+        ("row0", 0, mu * ps - 1j * mu * ph, left),
+        ("row1", 1, -mu * ps - 1j * mu * ph, left),
+        ("col0", 0, 1j * mu * ph + mu * ps, right),
+        ("col1", 1, 1j * mu * ph - mu * ps, right),
     ):
-        fld, tail = _exp_field(grid, exponent)
-        bucket.append(multiplication_operator(fld))
-        tails[name] = tail
-
-    left = block_operator([[rows[0], None], [None, rows[1]]])
-    right = block_operator([[cols[0], None], [None, cols[1]]])
-    out = left @ (op @ right)
-    out.meta.update({"kind": "gauge_conjugated", "mu": mu,
-                     "gauge_truncation_residual": tails})
-    return out
+        fld, tails[name] = _exp_field(grid, exponent)
+        factor.append((i, i, fld, None))
+    return TruncatedOperator(grid, 2, [left, *op.factors, right],
+                             meta={"gauge_truncation_residual": tails})
 
 
 def restricted_operator_distance(a: TruncatedOperator, b: TruncatedOperator,

@@ -388,6 +388,29 @@ class TestCoercivity:
         expected = (1 - 1 / 6) * weights.g_plus[idx] ** 2
         assert margin == pytest.approx(expected, rel=1e-10)
 
+    def test_operator_matches_block_layout(self):
+        grid, rng = d.FourierGrid(4, 18), np.random.default_rng(21)
+        cs = d.random_gamma_instance(grid, rng)
+        vt0 = d.random_trig_field(grid, rng, 2, 0.4)
+        vt3 = d.random_trig_field(grid, rng, 2, 0.4)
+        psi = d.random_trig_field(grid, rng, 2, 0.3)
+        mu, k = 1.5, (np.pi, 0.3)
+        op = d.coercivity_operator(cs, vt0, vt3, psi, mu, k)
+        ps = psi.samples()
+        b00 = d.sample_to_fourier(np.exp(2j * mu * ps) * (vt0 + vt3).samples(), grid)
+        b11 = d.sample_to_fourier(np.exp(-2j * mu * ps) * (vt0 - vt3).samples(), grid)
+        n = grid.n_modes
+        ref = np.zeros((2 * n, 2 * n), dtype=complex)
+        ref[:n, :n] = d.multiplication_operator(b00).matrix
+        ref[:n, n:] = d.assemble_dpm(cs, k, mu, "-").matrix
+        ref[n:, :n] = d.assemble_dpm(cs, k, mu, "+").matrix
+        ref[n:, n:] = d.multiplication_operator(b11).matrix
+        assert np.max(np.abs(op.matrix - ref)) < 1e-13
+        x = rng.standard_normal((op.dim, 6)) + 1j * rng.standard_normal((op.dim, 6))
+        for got, want in ((op.apply(x), op.matrix @ x),
+                          (op.adjoint_apply(x), op.matrix.conj().T @ x)):
+            assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
+
     def test_zero_trial_margin_zero(self):
         grid = d.FourierGrid(10, 42)
         cs = d.CoefficientSet.constant(grid)

@@ -171,7 +171,11 @@ EDGE_CONFIGS = [
     ("bands", "bands.k_grid.n1=0"),
     ("wiener", "wiener.n_max=0"),
     ("profile", "profile.eps_grid=[]"),
+    ("wiener", "wiener.theta=nan"),
 ]
+# Rejected up front by the schema check, whose message names the dotted key.
+SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
+                   "bands.k_grid.n1=0", "wiener.n_max=0", "wiener.theta=nan"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -183,6 +187,9 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     assert code in (2, 4)
     assert "Traceback" not in err
     assert err.startswith(("config schema error:", "inadmissible parameters:"))
+    if assignment in SCHEMA_REJECTED:
+        assert code == 2
+        assert assignment.split("=")[0] in err
 
 
 class TestDeterminism:

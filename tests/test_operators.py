@@ -188,29 +188,60 @@ class TestApplication:
                          (op.adjoint_apply(x), op.matrix.conj().T @ x)):
             assert np.linalg.norm(got - ref) < 1e-10 * np.linalg.norm(ref)
 
-    def test_zero_potential_components_add_no_kernel(self, monkeypatch):
+    def test_zero_potential_components_add_no_kernel(self):
         grid, cs, rng = random_set(m=4, seed=13)
         zero = d.PeriodicScalarField.constant(grid, 0.0)
         v1 = d.random_trig_field(grid, rng, 2, 0.4)
         v2 = d.random_trig_field(grid, rng, 2, 0.4)
-        made = []
-        init = d.operators._MultKernel.__init__
-
-        def counting_init(self, field):
-            made.append(field)
-            init(self, field)
-        monkeypatch.setattr(d.operators._MultKernel, "__init__", counting_init)
         op = d.assemble_dirac(cs, d.MatrixPotential(zero, v1, v2, zero), (0.3, 0.4))
-        assert len(made) == 6  # two terms in each of d_pm, plus V1 -+ iV2
+        assert len(op.factors[0]) == 6  # two terms in each of d_pm, plus V1 -+ iV2
         # The dense matrix equals the layout with explicit (zero) diagonal blocks.
-        conv = d.operators._convolution_matrix
         n = grid.n_modes
         ref = np.zeros((2 * n, 2 * n), dtype=complex)
         ref[:n, n:] = (d.assemble_dpm(cs, (0.3, 0.4), 0.0, "-").matrix
-                       + conv(d.PeriodicScalarField(grid, v1.coeffs - 1j * v2.coeffs)))
+                       + d.multiplication_operator(v1 - 1j * v2).matrix)
         ref[n:, :n] = (d.assemble_dpm(cs, (0.3, 0.4), 0.0, "+").matrix
-                       + conv(d.PeriodicScalarField(grid, v1.coeffs + 1j * v2.coeffs)))
+                       + d.multiplication_operator(v1 + 1j * v2).matrix)
         assert np.max(np.abs(op.matrix - ref)) < 1e-13
+
+    def test_batched_apply_peak_memory(self):
+        # Each term's (B, S, S) FFT work array is freed before the next term
+        # allocates its own, so the peak stays near one work array.
+        import tracemalloc
+
+        grid, cs, rng = random_set(m=8, seed=16)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        V = d.MatrixPotential(zero, d.random_trig_field(grid, rng, 2, 0.4),
+                              d.random_trig_field(grid, rng, 2, 0.4), zero)
+        op = d.assemble_dirac(cs, V, (0.3, 0.4))
+        b, s = 162, grid.sample_resolution
+        x = rng.standard_normal((op.dim, b)) + 1j * rng.standard_normal((op.dim, b))
+        op.apply(x[:, :1])  # first apply: scipy.fft import and field samples
+        bound = 2 * x.nbytes + 1.5 * b * s * s * 16
+        for fn in (op.apply, op.adjoint_apply):
+            tracemalloc.start()
+            try:
+                fn(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (fn.__name__, peak, bound)
+
+    def test_dense_route_takes_no_samples(self, monkeypatch):
+        grid, cs, rng = random_set(m=4, seed=17)
+        V = d.MatrixPotential(*(d.random_trig_field(grid, rng, 2, 0.4) for _ in range(4)))
+        calls = []
+        samples = d.PeriodicScalarField.samples
+
+        def counting_samples(self, resolution=None):
+            calls.append(resolution)
+            return samples(self, resolution)
+        monkeypatch.setattr(d.PeriodicScalarField, "samples", counting_samples)
+        op = d.assemble_dirac(cs, V, (0.3, 0.4), mu=0.5)
+        op.matrix
+        assert calls == []
+        op.apply(np.ones(op.dim))
+        assert len(calls) == len(op.factors[0])
 
     def test_import_leaves_scipy_fft_unloaded(self):
         # scipy.fft is imported on the first matrix-free apply, not with the package.
