@@ -16,6 +16,11 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
+Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
+samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
+each block of points about 2 sqrt(n_max) elementwise passes and one BLAS-3
+product instead of n_max passes over the grid (see :func:`power_moments`).
+
 Per-fiber work (each quasimomentum, each sweep point) is independent; a small
 thread pool dispatches it when ``workers`` > 1 and results are collected by
 index, so the output never depends on scheduling.
@@ -23,6 +28,7 @@ index, so the output never depends on scheduling.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,7 +36,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from ._kernels import power_moments
 from .defaults import DEFAULTS, TOLERANCES
 from .errors import (
     InadmissibleParameterError,
@@ -497,6 +502,51 @@ def required_resolution(psi: PeriodicScalarField, n_max: int) -> tuple[int, int]
     s1 = max(int(np.ceil(per * n_max * m1)), floor)
     s2 = max(int(np.ceil(per * n_max * m2)), floor)
     return s1, s2
+
+
+# Points per block of power_moments: its q + A rows of 2048 complex values
+# take 1 MiB at n_max = 256 and 2 MiB at n_max = 1024, so they stay in cache.
+_MOMENT_BLOCK = 2048
+
+
+def power_moments(w: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
+    """mean(w * z**nu) for nu = 1..n_max, as one matrix product per block of points.
+
+    With q = ceil(sqrt(n_max)) and A = ceil(n_max/q), every nu = a q + b
+    (0 <= a < A, 1 <= b <= q) and  w z^nu = (z^q)^a (w z^b).  For a block of
+    points the rows V[b-1] = w z^b and U[a] = (z^q)^a are running products
+    (about q + A elementwise passes over the block), and all n_max moment sums
+    of the block are the entries of the (A x block)(block x q) product U V^T,
+    a BLAS-3 ZGEMM.  The block is small enough that U and V stay in cache, so
+    the grid is read once instead of n_max times and no array of the grid's
+    size is allocated.
+
+    The blocks are fixed and their products are added in order.  The last
+    block is zero-padded, so every product has the same shape and BLAS splits
+    each sum the same way at any thread count (a product with an odd-sized
+    tail rounded differently at 1 and 2 OpenBLAS threads).
+    """
+    w, z, n_max = np.ravel(w), np.ravel(z), int(n_max)
+    q = math.isqrt(n_max - 1) + 1
+    n_rows = -(-n_max // q)
+    v = np.empty((q, _MOMENT_BLOCK), dtype=np.complex128)
+    u = np.empty((n_rows, _MOMENT_BLOCK), dtype=np.complex128)
+    zq = np.empty(_MOMENT_BLOCK, dtype=np.complex128)
+    sums = np.zeros((n_rows, q), dtype=np.complex128)
+    for start in range(0, z.size, _MOMENT_BLOCK):
+        wb, zb = w[start:start + _MOMENT_BLOCK], z[start:start + _MOMENT_BLOCK]
+        if zb.size < _MOMENT_BLOCK:
+            pad = (0, _MOMENT_BLOCK - zb.size)
+            wb, zb = np.pad(wb, pad), np.pad(zb, pad)
+        np.multiply(wb, zb, out=v[0])
+        for b in range(1, q):
+            np.multiply(v[b - 1], zb, out=v[b])
+        np.power(zb, q, out=zq)
+        u[0] = 1.0
+        for a in range(1, n_rows):
+            np.multiply(u[a - 1], zq, out=u[a])
+        sums += u @ v.T
+    return sums.ravel()[:n_max] / z.size
 
 
 def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,

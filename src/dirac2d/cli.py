@@ -118,8 +118,8 @@ def check_schema(cfg: dict, subcommand: str) -> None:
     for key in ("seed", "workers"):
         if key in cfg and not isinstance(cfg[key], int):
             raise ConfigSchemaError(f"config.{key} must be an integer")
-    # Empty grids, zero counts and non-finite scalars of the subcommand's own
-    # section fail here, naming the key, before any work starts.
+    # Empty grids, zero counts, non-finite scalars and grid entries of the
+    # subcommand's own section fail here, naming the key, before any work starts.
     section = cfg.get(subcommand)
     if not isinstance(section, dict):
         return
@@ -132,10 +132,19 @@ def check_schema(cfg: dict, subcommand: str) -> None:
                 _number(spec.get(part), f"{subcommand}.{key}.{part}", least)
         elif key in section and not (isinstance(spec, list) and spec):
             raise ConfigSchemaError(f"{subcommand}.{key}: expected a non-empty list, got {spec!r}")
+        elif key in section:
+            for i, entry in enumerate(spec):
+                for value in entry if isinstance(entry, list) else [entry]:
+                    _number(value, f"{subcommand}.{key}[{i}]")
     for key, least in {"verify": [("trials", 1)],
                        "wiener": [("n_max", 1), ("theta", None)]}.get(subcommand, []):
         if key in section:
             _number(section[key], f"{subcommand}.{key}", least)
+    res = section.get("resolution") if subcommand == "wiener" else None
+    pair = res if isinstance(res, list) and len(res) == 2 else [res]
+    if res is not None and not all(type(r) is int and r >= 1 for r in pair):
+        raise ConfigSchemaError(
+            f"wiener.resolution: expected a positive integer or a pair of them, got {res!r}")
 
 
 def _number(value, key: str, least: float | None = None) -> None:
@@ -696,7 +705,7 @@ def main(argv=None) -> int:
     except Dirac2DError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"inadmissible parameters: {exc}", file=sys.stderr)
         return 4
 

@@ -1,11 +1,17 @@
 """Band structure, sweeps, equivalence constants, potential functionals, averages."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import dirac2d as d
-from dirac2d._kernels import power_moments
+from dirac2d.analysis import power_moments
 
 
 def constant_set(m=4):
@@ -351,13 +357,53 @@ class TestWiener:
         rep = d.wiener_average(w, can.psi, 256, 0.1)
         assert rep.average_at(256) < rep.average_at(64)
 
-    def test_kernel_fallback_agreement(self):
+    # 300 points fill part of one block of the kernel; 4999 are two full
+    # blocks and a zero-padded tail.
+    @pytest.mark.parametrize("n_max", [1, 2, 15, 16, 17, 50, 257, 1024])
+    @pytest.mark.parametrize("radius", [1.0, 1.0 - 1e-3, 1.0 + 1e-3])
+    @pytest.mark.parametrize("points", [300, 4999])
+    def test_power_moments_match_running_product(self, n_max, radius, points):
         rng = np.random.default_rng(12)
-        w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-        z = np.exp(1j * rng.standard_normal(300))
-        fast = power_moments(w, z, 50)
-        slow = power_moments(w, z, 50, force_numpy=True)
-        assert np.max(np.abs(fast - slow)) < 1e-13
+        w = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        z = radius * np.exp(1j * rng.standard_normal(points))
+        fast = power_moments(w, z, n_max)
+        assert fast.shape == (n_max,)
+        p, slow = w.copy(), np.empty(n_max, dtype=complex)
+        for nu in range(n_max):
+            p *= z
+            slow[nu] = p.mean()
+        assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_power_moments_blas_threads_do_not_change_bytes(self):
+        # At n_max = 1024 each block product is large enough for OpenBLAS to
+        # split it over threads; 300001 points end in a partial block.
+        script = ("import hashlib, numpy as np; from dirac2d.analysis import power_moments; "
+                  "r = np.random.default_rng(5); w = r.standard_normal(300001) + 0j; "
+                  "z = np.exp(1j * r.standard_normal(300001)); "
+                  "print(hashlib.sha256(power_moments(w, z, 1024).tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+    def test_power_moments_peak_memory(self):
+        # The kernel works block by block; a whole-grid running product
+        # would peak at 2 w.nbytes.
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20)
+        z = np.exp(1j * rng.standard_normal(1 << 20))
+        tracemalloc.start()
+        try:
+            power_moments(w, z, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.nbytes / 4
 
 
 class TestCoercivity:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,10 +175,18 @@ EDGE_CONFIGS = [
     ("wiener", "wiener.n_max=0"),
     ("profile", "profile.eps_grid=[]"),
     ("wiener", "wiener.theta=nan"),
+    ("sweep", "sweep.k2_grid=[.nan]"),
+    ("sweep", "sweep.mu_grid=[1.0, .inf]"),
+    ("bands", "bands.k_grid=[[0.5, .nan]]"),
+    ("wiener", "wiener.resolution=[.nan, 64]"),
+    ("wiener", "wiener.resolution=0"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
-                   "bands.k_grid.n1=0", "wiener.n_max=0", "wiener.theta=nan"}
+                   "bands.k_grid.n1=0", "wiener.n_max=0", "wiener.theta=nan",
+                   "sweep.k2_grid=[.nan]", "sweep.mu_grid=[1.0, .inf]",
+                   "bands.k_grid=[[0.5, .nan]]", "wiener.resolution=[.nan, 64]",
+                   "wiener.resolution=0"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -190,6 +201,21 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+    monkeypatch.setattr("dirac2d.cli.wiener_average", oversized)
+    code = run("wiener", "--config", small_free_config(tmp_path), "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.startswith("inadmissible parameters:") and "149. GiB" in err
+
+
+WIENER_M3 = ("--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+             "--set", "wiener.n_max=64")
 
 
 class TestDeterminism:
@@ -207,6 +233,24 @@ class TestDeterminism:
             m1 = (out1 / sub / "manifest.json").read_bytes()
             m2 = (out2 / sub / "manifest.json").read_bytes()
             assert m1 == m2
+
+    def test_wiener_byte_identical(self, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            assert run("wiener", "--config", VARIABLE_CONFIG, "--out", out, *WIENER_M3) == 0
+        for name in ("wiener.csv", "wiener_avg.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_wiener_blas_threads_do_not_change_results(self, tmp_path):
+        src = str(REPO / "src")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run([sys.executable, "-m", "dirac2d.cli", "wiener",
+                            "--config", str(VARIABLE_CONFIG), "--out", str(tmp_path / threads),
+                            *WIENER_M3], env=env, check=True, capture_output=True)
+        for name in ("wiener.csv", "wiener_avg.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_seed_changes_random_suites(self, tmp_path):
         cfg = small_free_config(tmp_path)
