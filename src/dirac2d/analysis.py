@@ -16,6 +16,11 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
+Fiber solves use the fiber's structure: a dense sweep point is factored once
+and sigma_min read off by Lanczos on the LU solves of (A^H A)^{-1}; a
+Hermitian fiber without diagonal blocks gets its bands as +-sigma of one
+off-diagonal block (see :func:`smallest_singular_value`, :func:`band_structure`).
+
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
 each block of points about 2 sqrt(n_max) elementwise passes and one BLAS-3
@@ -91,21 +96,41 @@ def smallest_singular_value(op: TruncatedOperator, dense_limit: int | None = Non
                             seed: int | None = None) -> float:
     """sigma_min of a truncated operator.
 
-    Dense SVD while the scalar mode count stays below ``dense_limit``;
-    otherwise LOBPCG on the normal operator A*A through the matrix-free
-    application (both routes agree at the boundary).
+    While the scalar mode count stays below ``dense_limit`` the dense matrix
+    A is factored once (LU with partial pivoting) and Lanczos (``eigsh``,
+    tol = 0, seeded start) finds lambda_max of (A^H A)^{-1} through two
+    triangular solves per step, so sigma_min = lambda_max^{-1/2} without an
+    SVD.  An exactly zero pivot means A is singular in floating point and
+    gives 0.0; if Lanczos does not converge the value comes from a full SVD.
+    Past the limit, LOBPCG on the normal operator A*A through the
+    matrix-free application (both routes agree at the boundary).
     """
     dense_limit = DEFAULTS["dense_mode_limit"] if dense_limit is None else dense_limit
+    seed = DEFAULTS["lobpcg_seed"] if seed is None else seed
+    n = op.dim
+    rng = np.random.default_rng(seed)
     if op.grid.n_modes <= dense_limit:
-        return float(scipy.linalg.svdvals(op.matrix)[-1])
+        a = op.matrix
+        lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+        if info > 0:
+            return 0.0
+        solve = scipy.linalg.lapack.zgetrs
+        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+        inverse_normal = scipy.sparse.linalg.LinearOperator(
+            (n, n), dtype=np.complex128,
+            matvec=lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0])
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        try:
+            lam = scipy.sparse.linalg.eigsh(inverse_normal, k=1, which="LM", tol=0, v0=v0,
+                                            return_eigenvectors=False)[0]
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            return float(scipy.linalg.svdvals(a)[-1])
+        return float(1.0 / np.sqrt(lam))
     tol = DEFAULTS["lobpcg_tol"] if tol is None else tol
     maxiter = DEFAULTS["lobpcg_maxiter"] if maxiter is None else maxiter
-    seed = DEFAULTS["lobpcg_seed"] if seed is None else seed
 
-    n = op.dim
     normal = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: op.adjoint_apply(op.apply(v)), dtype=np.complex128)
-    rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     vals, _ = scipy.sparse.linalg.lobpcg(normal, x0, largest=False, tol=tol,
                                          maxiter=maxiter)
@@ -140,7 +165,10 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
     ``mode="eigen"`` requires a Hermitian fiber (Hermitian-flagged potential
     and an assembled matrix equal to its conjugate transpose) and returns real
     eigenvalues; ``mode="singular"`` returns singular values; ``auto`` picks
-    per assembly.  When ``n_bands`` is given, the values of smallest magnitude
+    per assembly.  A fiber whose terms all map one spinor component to the
+    other (no V0/V3 term, e.g. the free fiber) is block off-diagonal, so its
+    eigenvalues are +-sigma of the lower block: one half-size SVD replaces
+    the full eigensolve.  When ``n_bands`` is given, the values of smallest magnitude
     are kept per fiber and re-sorted ascending, a reproducible ordering.
     """
     if mode not in ("auto", "eigen", "singular"):
@@ -151,7 +179,8 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
         raise NonHermitianError("self-adjoint mode requested with a non-Hermitian potential")
 
     def one(k):
-        a = assemble_dirac(coeffs, V, (k[0], k[1]), grid).matrix
+        op = assemble_dirac(coeffs, V, (k[0], k[1]), grid)
+        a = op.matrix
         defect = float(np.max(np.abs(a - a.conj().T)))
         scale = max(1.0, float(np.max(np.abs(a))))
         hermitian = defect <= TOLERANCES["hermitian"] * scale
@@ -159,7 +188,13 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
             raise NonHermitianError(
                 f"fiber at k={tuple(k)} is not Hermitian (defect {defect:.3e})")
         use_eigen = hermitian if mode == "auto" else (mode == "eigen")
-        if use_eigen:
+        if use_eigen and all(i != j for i, j, _, _ in op.factors[0]):
+            # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
+            # eigenvalues are +-sigma(B).
+            n = grid.n_modes
+            s = scipy.linalg.svdvals(0.5 * (a[n:, :n] + a[:n, n:].conj().T))
+            vals = np.concatenate([-s, s[::-1]])
+        elif use_eigen:
             vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
         else:
             vals = np.sort(scipy.linalg.svdvals(a))

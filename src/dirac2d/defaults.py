@@ -59,7 +59,8 @@ DEFAULTS = {
     # Epsilon grid for relative-bound profiles; must contain 1.0 so that the
     # constant C_1(W) used by the bounded-multiplier estimates is tabulated.
     "eps_grid": (1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
-    # Inverse-iteration / LOBPCG settings for matrix-free smallest singular values.
+    # LOBPCG settings for matrix-free smallest singular values; the seed also
+    # draws the Lanczos start vector of the dense (LU) route.
     "lobpcg_tol": 1e-9,
     "lobpcg_maxiter": 2000,
     "lobpcg_seed": 0,

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import dirac2d as d
 from dirac2d.analysis import power_moments
@@ -107,6 +109,44 @@ class TestBandStructure:
         assert table.mode == "singular"
         assert np.all(table.values >= 0)
 
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_off_diagonal_route_matches_eigvalsh(self, monkeypatch):
+        # Constant coefficients plus real V1/V2: Hermitian, no diagonal blocks,
+        # so the bands come from the half-size SVD, not from eigvalsh.
+        grid, cs = constant_set(6)
+        rng = np.random.default_rng(11)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        V = d.MatrixPotential(v0=zero, v1=d.random_trig_field(grid, rng, 2, 0.7),
+                              v2=d.random_trig_field(grid, rng, 2, 0.7), v3=zero)
+        kgrid = rng.uniform(0.0, 2 * np.pi, size=(4, 2))
+        calls = self.count_eigvalsh(monkeypatch)
+        table = d.band_structure(cs, V, kgrid)
+        assert calls == [] and table.mode == "eigen"
+        for kp, vals in zip(kgrid, table.values):
+            a = d.assemble_dirac(cs, V, kp).matrix
+            full = scipy.linalg.eigvalsh(0.5 * (a + a.conj().T))
+            assert np.max(np.abs(vals - full)) <= 1e-12
+
+    def test_diagonal_potential_keeps_eigvalsh(self, monkeypatch):
+        grid, cs = constant_set(3)
+        calls = self.count_eigvalsh(monkeypatch)
+        kgrid = [[0.0, 0.0], [0.5, 0.2], [1.0, 2.0]]
+        d.band_structure(cs, d.MatrixPotential.diagonal(grid, v0=0.2), kgrid)
+        d.band_structure(cs, d.MatrixPotential.diagonal(grid, v3=0.3), kgrid)
+        assert calls == [(2 * grid.n_modes, 2 * grid.n_modes)] * 6
+        d.band_structure(cs, None, kgrid)
+        assert len(calls) == 6
+
 
 class TestSweep:
     def test_constant_floor_pi(self):
@@ -118,10 +158,60 @@ class TestSweep:
         assert not rep.flagged.any()
 
     def test_lattice_point_kernel(self):
-        # At k in 2 pi Z^2 with no shift the fiber annihilates constants.
+        # At k in 2 pi Z^2 with no shift the fiber annihilates constants: the
+        # constant mode's column is exactly zero, so LU meets a zero pivot and
+        # sigma_min is exactly 0, with no warning.
         _, cs = constant_set(3)
         op = d.assemble_dirac(cs, None, (0.0, 0.0))
-        assert d.smallest_singular_value(op) < 1e-12
+        assert scipy.linalg.lapack.zgetrf(op.matrix)[2] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.smallest_singular_value(op) == 0.0
+
+    def test_lanczos_failure_falls_back_to_svd(self, monkeypatch):
+        _, cs, _ = random_set(seed=4)
+        op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum((np.pi, 0.3), (2.0, 0.0)))
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        assert d.smallest_singular_value(op) == scipy.linalg.svdvals(op.matrix)[-1]
+
+    @pytest.mark.parametrize("m", [3, 6, 8])
+    def test_sigma_min_matches_svdvals(self, m):
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        mass = d.MatrixPotential.diagonal(grid, v3=0.3)
+        worst = 0.0
+        for seed in range(10):
+            rng = np.random.default_rng(700 + seed)
+            cs = d.random_gamma_instance(grid, rng)
+            z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2),
+                                       (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1)))
+            for V in (None, mass):
+                op = d.assemble_dirac(cs, V, z)
+                ref = scipy.linalg.svdvals(op.matrix)[-1]
+                worst = max(worst, abs(d.smallest_singular_value(op) - ref) / max(1.0, ref))
+        assert worst <= 1e-12
+
+    def test_sigma_min_near_lattice_and_degenerate(self):
+        _, free = constant_set(8)
+        _, gamma, _ = random_set(6, seed=9)
+        cases = [(cs, (t, 0.5 * t)) for cs in (free, gamma) for t in (1e-9, 1e-6)]
+        # sigma_min = pi is 4-fold at k1 = pi: modes N1 = 0, -1 in both d_+ and d_-.
+        cases.append((free, (np.pi, 0.0)))
+        for cs, k in cases:
+            op = d.assemble_dirac(cs, None, k)
+            ref = scipy.linalg.svdvals(op.matrix)[-1]
+            assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
+        assert ref == pytest.approx(np.pi, abs=1e-12)
+
+    def test_sweep_repeats_bytes(self):
+        _, cs, _ = random_set(seed=6)
+        sweep = d.SweepConfig(mu_grid=(0.0, np.pi, 3.0), k2_grid=(0.0, 0.4))
+        mass = d.MatrixPotential.diagonal(cs.grid, v3=0.3)
+        a = d.sigma_min_sweep(cs, mass, sweep)
+        b = d.sigma_min_sweep(cs, mass, sweep)
+        assert np.array_equal(a.sigma, b.sigma)
 
     def test_positive_off_lattice(self):
         _, cs, _ = random_set(seed=4)
