@@ -91,50 +91,37 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-def smallest_singular_value(op: TruncatedOperator, dense_limit: int | None = None,
-                            tol: float | None = None, maxiter: int | None = None,
-                            seed: int | None = None) -> float:
-    """sigma_min of a truncated operator.
+def smallest_singular_value(op: TruncatedOperator) -> float:
+    """sigma_min of a truncated operator, one algorithm at every size.
 
-    While the scalar mode count stays below ``dense_limit`` the dense matrix
-    A is factored once (LU with partial pivoting) and Lanczos (``eigsh``,
-    tol = 0, seeded start) finds lambda_max of (A^H A)^{-1} through two
+    The dense matrix A is factored once (LU with partial pivoting) and
+    Lanczos (ARPACK ``eigs``, tol = 0, start and restart vectors drawn from
+    ``DEFAULTS["lanczos_seed"]``) finds lambda_max of (A^H A)^{-1} through two
     triangular solves per step, so sigma_min = lambda_max^{-1/2} without an
     SVD.  An exactly zero pivot means A is singular in floating point and
     gives 0.0; if Lanczos does not converge the value comes from a full SVD.
-    Past the limit, LOBPCG on the normal operator A*A through the
-    matrix-free application (both routes agree at the boundary).
+    The dense matrix takes 16 dim^2 bytes (about 1 GiB at M = 32), the LU
+    factors as much again.
     """
-    dense_limit = DEFAULTS["dense_mode_limit"] if dense_limit is None else dense_limit
-    seed = DEFAULTS["lobpcg_seed"] if seed is None else seed
-    n = op.dim
-    rng = np.random.default_rng(seed)
-    if op.grid.n_modes <= dense_limit:
-        a = op.matrix
-        lu, piv, info = scipy.linalg.lapack.zgetrf(a)
-        if info > 0:
-            return 0.0
-        solve = scipy.linalg.lapack.zgetrs
-        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
-        inverse_normal = scipy.sparse.linalg.LinearOperator(
-            (n, n), dtype=np.complex128,
-            matvec=lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0])
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            lam = scipy.sparse.linalg.eigsh(inverse_normal, k=1, which="LM", tol=0, v0=v0,
-                                            return_eigenvectors=False)[0]
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            return float(scipy.linalg.svdvals(a)[-1])
-        return float(1.0 / np.sqrt(lam))
-    tol = DEFAULTS["lobpcg_tol"] if tol is None else tol
-    maxiter = DEFAULTS["lobpcg_maxiter"] if maxiter is None else maxiter
-
-    normal = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: op.adjoint_apply(op.apply(v)), dtype=np.complex128)
-    x0 = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    vals, _ = scipy.sparse.linalg.lobpcg(normal, x0, largest=False, tol=tol,
-                                         maxiter=maxiter)
-    return float(np.sqrt(max(float(np.min(vals.real)), 0.0)))
+    a = op.matrix
+    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+    if info > 0:
+        return 0.0
+    solve = scipy.linalg.lapack.zgetrs
+    # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+    inverse_normal = scipy.sparse.linalg.LinearOperator(
+        a.shape, dtype=np.complex128,
+        matvec=lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0])
+    rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
+    v0 = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+    try:
+        # ARPACK draws restart vectors from ``rng``; eigsh would pass a complex
+        # operator on to eigs without it, and the value would vary run to run.
+        lam = scipy.sparse.linalg.eigs(inverse_normal, k=1, which="LM", tol=0, v0=v0, rng=rng,
+                                       return_eigenvectors=False)[0].real
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return float(scipy.linalg.svdvals(a)[-1])
+    return float(1.0 / np.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +156,8 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
     other (no V0/V3 term, e.g. the free fiber) is block off-diagonal, so its
     eigenvalues are +-sigma of the lower block: one half-size SVD replaces
     the full eigensolve.  When ``n_bands`` is given, the values of smallest magnitude
-    are kept per fiber and re-sorted ascending, a reproducible ordering.
+    are kept per fiber and re-sorted ascending; a cut through a degenerate
+    level keeps +- pairs (see :func:`_cut_bands`).
     """
     if mode not in ("auto", "eigen", "singular"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -199,8 +187,7 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
         else:
             vals = np.sort(scipy.linalg.svdvals(a))
         if n_bands is not None:
-            keep = np.argsort(np.abs(vals), kind="stable")[:n_bands]
-            vals = np.sort(vals[keep])
+            vals = _cut_bands(vals, n_bands)
         return vals, defect, use_eigen
 
     results = _pmap(one, list(kgrid), workers)
@@ -210,6 +197,25 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
     return BandTable(kpoints=kgrid, values=values,
                      mode="eigen" if used_eigen else "singular",
                      hermitian_defect=defect)
+
+
+def _cut_bands(vals: np.ndarray, n_bands: int) -> np.ndarray:
+    """The ``n_bands`` values of smallest magnitude, sorted ascending.
+
+    Values whose magnitudes agree within ``TOLERANCES["band_oracle"]`` (gaps
+    between consecutive magnitudes) form one level.  Levels are kept in order
+    of magnitude; inside a level the members alternate in sign, negative
+    first, so a cut through a degenerate level keeps +- pairs instead of
+    following eigensolver rounding.
+    """
+    v = vals[np.argsort(np.abs(vals), kind="stable")]
+    level = np.concatenate(([0], np.cumsum(np.diff(np.abs(v)) > TOLERANCES["band_oracle"])))
+    seen, rank = {}, []
+    for lev, positive in zip(level, v >= 0):
+        i = seen.get((lev, positive), 0)
+        seen[(lev, positive)] = i + 1
+        rank.append(2 * i + positive)
+    return np.sort(v[np.lexsort((rank, level))[:n_bands]])
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +265,29 @@ def sweep_direction_from_gauge(canonical) -> tuple[float, float]:
 
 def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
                     sweep: SweepConfig, grid: FourierGrid | None = None,
-                    workers: int = 1, dense_limit: int | None = None) -> SweepReport:
+                    workers: int = 1) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
-    Any value below the certificate floor is flagged (a potential eigenvalue
-    certificate failure), never raised.  A log-linear floor is fitted to the
-    per-mu_tilde minima when they are all positive.
+    Each point is one LU factorization and a Lanczos run on its solves
+    (:func:`smallest_singular_value`).  A value below the certificate floor is
+    flagged (a potential eigenvalue certificate failure), never raised; a
+    log-linear floor is fitted to the per-mu_tilde minima when all are positive.
     """
     grid = coeffs.grid if grid is None else grid
     e = np.asarray(sweep.direction, dtype=float)
     kp = np.asarray(sweep.k_prime, dtype=float)
     cp = np.asarray(sweep.kappa_prime, dtype=float)
-    tasks = [(i, j, mu, k2)
-             for i, mu in enumerate(sweep.mu_grid)
-             for j, k2 in enumerate(sweep.k2_grid)]
+    tasks = [(mu, k2) for mu in sweep.mu_grid for k2 in sweep.k2_grid]
 
     def one(task):
-        _, _, mu, k2 = task
+        mu, k2 = task
         k = np.array([sweep.k1, k2]) + kp
         kap = mu * e + cp
         z = ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1]))
         op = assemble_dirac(coeffs, V, z, grid)
-        return smallest_singular_value(op, dense_limit=dense_limit)
+        return smallest_singular_value(op)
 
-    vals = _pmap(one, tasks, workers)
-    sigma = np.zeros((len(sweep.mu_grid), len(sweep.k2_grid)))
-    for (i, j, _, _), v in zip(tasks, vals):
-        sigma[i, j] = v
+    sigma = np.reshape(_pmap(one, tasks, workers), (len(sweep.mu_grid), len(sweep.k2_grid)))
     min_per_mu = sigma.min(axis=1)
     flagged = min_per_mu < TOLERANCES["sigma_min_flag"]
 
@@ -342,7 +344,8 @@ def _top_eigenvalue(a: np.ndarray) -> float:
     # the full decomposition stays the default up to moderate sizes.
     v0 = np.ones(n) / np.sqrt(n)
     val = scipy.sparse.linalg.eigsh(a, k=1, which="LA", tol=1e-8, v0=v0,
-                                    return_eigenvectors=False)
+                                    return_eigenvectors=False,
+                                    rng=np.random.default_rng(DEFAULTS["lanczos_seed"]))
     return float(val[0])
 
 

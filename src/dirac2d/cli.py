@@ -102,60 +102,82 @@ def _require(cfg: dict, key: str, types, where: str = "config"):
     return cfg[key]
 
 
+# What a run reads, by dotted key, and what each kind of value must be.  A
+# mapping is listed before the keys inside it.  Field specs are checked where
+# they are built (build_field).
+EXPECTED = {"num": "a finite number", "count": "a finite number >= 1",
+            "pair": "a list of two numbers", "nums": "a non-empty list of numbers",
+            "line": "{start, stop, count} or a non-empty list of numbers",
+            "kgrid": "{n1, n2} or a non-empty list of [k1, k2] pairs",
+            "map": "a mapping", "res": "a positive integer or a pair of them"}
+SCHEMA = {
+    "potential": "map", "bands": "map", "sweep": "map", "verify": "map", "wiener": "map",
+    "profile": "map", "bands.k_grid": "kgrid", "bands.n_bands": "count", "sweep.k1": "num",
+    "sweep.direction": "pair", "sweep.k_prime": "pair", "sweep.kappa_prime": "pair",
+    "sweep.mu_grid": "line", "sweep.k2_grid": "line", "verify.trials": "count",
+    "verify.mu": "num", "verify.a": "num", "verify.k2": "num", "verify.counting": "map",
+    "verify.counting.k2_values": "nums", "verify.counting.mu_values": "nums",
+    "verify.counting.a_values": "nums", "verify.cross_term": "map",
+    "verify.cross_term.a": "num", "verify.cross_term.a_prime": "num",
+    "wiener.n_max": "count", "wiener.theta": "num", "wiener.resolution": "res",
+    "profile.eps_grid": "nums", "profile.b_grid": "nums", "profile.count_grid": "nums",
+    "profile.t_grid": "nums",
+}
+# Words a key accepts in place of its kind.
+KEYWORDS = {"potential": (None,), "bands.n_bands": ("all", None),
+            "sweep.direction": ("canonical",)}
+_PARTS = {"line": {"start": "num", "stop": "num", "count": "count"},
+          "kgrid": {"n1": "count", "n2": "count"}}
+_ENTRY = {"pair": "num", "nums": "num", "line": "num", "kgrid": "pair"}
+
+
 def check_schema(cfg: dict, subcommand: str) -> None:
+    """Reject a malformed config, naming the dotted key, before any work starts."""
     grid = _require(cfg, "grid", dict)
     _require(grid, "truncation_radius", int, "grid")
     _require(grid, "sample_resolution", int, "grid")
     coeff = _require(cfg, "coefficients", dict)
     for key in ("p", "q", "f_bound"):
-        _require(coeff, key, (int, float), "coefficients")
-    for key in ("G", "H", "F"):
-        _require(coeff, key, dict, "coefficients")
-    section_needs = {"bands": "bands", "sweep": "sweep", "wiener": "wiener",
-                     "profile": "profile"}
-    if subcommand in section_needs:
-        _require(cfg, section_needs[subcommand], dict)
-    for key in ("seed", "workers"):
-        if key in cfg and not isinstance(cfg[key], int):
-            raise ConfigSchemaError(f"config.{key} must be an integer")
-    # Empty grids, zero counts, non-finite scalars and grid entries of the
-    # subcommand's own section fail here, naming the key, before any work starts.
-    section = cfg.get(subcommand)
-    if not isinstance(section, dict):
+        _check_value(_require(coeff, key, (int, float), "coefficients"),
+                     f"coefficients.{key}", "num")
+    for key, kind in (("seed", int), ("workers", int), ("output_dir", str)):
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise ConfigSchemaError(f"config.{key}: expected {kind.__name__}, got {cfg[key]!r}")
+    if subcommand in ("bands", "sweep", "wiener", "profile"):
+        _require(cfg, subcommand, dict)
+    for dotted, kind in SCHEMA.items():
+        node = cfg
+        for part in dotted.split("."):
+            if part not in node:
+                break
+            node = node[part]
+        else:
+            if node not in KEYWORDS.get(dotted, ()):
+                _check_value(node, dotted, kind)
+
+
+def _check_value(value, key: str, kind: str) -> None:
+    if kind in _PARTS and isinstance(value, dict):
+        for part, sub in _PARTS[kind].items():
+            _check_value(value.get(part), f"{key}.{part}", sub)
         return
-    for key in {"bands": ("k_grid",), "sweep": ("mu_grid", "k2_grid")}.get(subcommand, ()):
-        spec = section.get(key)
-        if isinstance(spec, dict):
-            parts = ((("n1", 1), ("n2", 1)) if key == "k_grid"
-                     else (("start", None), ("stop", None), ("count", 1)))
-            for part, least in parts:
-                _number(spec.get(part), f"{subcommand}.{key}.{part}", least)
-        elif key in section and not (isinstance(spec, list) and spec):
-            raise ConfigSchemaError(f"{subcommand}.{key}: expected a non-empty list, got {spec!r}")
-        elif key in section:
-            for i, entry in enumerate(spec):
-                for value in entry if isinstance(entry, list) else [entry]:
-                    _number(value, f"{subcommand}.{key}[{i}]")
-    for key, least in {"verify": [("trials", 1)],
-                       "wiener": [("n_max", 1), ("theta", None)]}.get(subcommand, []):
-        if key in section:
-            _number(section[key], f"{subcommand}.{key}", least)
-    res = section.get("resolution") if subcommand == "wiener" else None
-    pair = res if isinstance(res, list) and len(res) == 2 else [res]
-    if res is not None and not all(type(r) is int and r >= 1 for r in pair):
-        raise ConfigSchemaError(
-            f"wiener.resolution: expected a positive integer or a pair of them, got {res!r}")
-
-
-def _number(value, key: str, least: float | None = None) -> None:
-    """Reject a non-finite number (YAML reads ``nan`` as text) or one below ``least``."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = np.nan
-    if not np.isfinite(x) or (least is not None and x < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigSchemaError(f"{key}: expected a finite number{bound}, got {value!r}")
+    if kind in ("num", "count"):
+        try:
+            x = float(value)  # YAML reads ``nan`` as text; bools are numbers
+        except (TypeError, ValueError):
+            x = np.nan
+        ok = np.isfinite(x) and (kind == "num" or x >= 1)
+    elif kind == "map":
+        ok = isinstance(value, dict)
+    elif kind == "res":
+        pair = value if isinstance(value, list) and len(value) == 2 else [value]
+        ok = all(type(r) is int and r >= 1 for r in pair)
+    else:
+        ok = isinstance(value, list) and (len(value) == 2 if kind == "pair" else len(value) > 0)
+        for i, entry in enumerate(value if ok else ()):
+            _check_value(entry, f"{key}[{i}]", _ENTRY[kind])
+    if not ok:
+        raise ConfigSchemaError(f"{key}: expected {EXPECTED[kind]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +213,45 @@ def build_grid(cfg: dict) -> FourierGrid:
         raise InadmissibleParameterError(str(exc)) from exc
 
 
-def build_field(spec, grid: FourierGrid, ctx: RunContext | None = None) -> PeriodicScalarField:
-    if not isinstance(spec, dict):
-        raise ConfigSchemaError(f"field spec must be a mapping, got {spec!r}")
-    if "constant" in spec:
-        return PeriodicScalarField.constant(grid, complex(spec["constant"]))
-    if "modes" in spec:
-        return field_from_records(grid, spec["modes"])
-    if "file" in spec:
-        if ctx is not None:
-            path = (ctx.config_path.parent / spec["file"]).resolve()
-            ctx.input_hashes[str(path)] = _sha256_file(path)
+def build_field(spec, grid: FourierGrid, ctx: RunContext, key: str) -> PeriodicScalarField:
+    """The field a config spec describes; a malformed spec fails naming its dotted key."""
+    part = next((p for p in ("constant", "modes", "file") if p in spec), None) \
+        if isinstance(spec, dict) else None
+    if part is None:
+        raise ConfigSchemaError(f"{key}: expected a mapping with one of constant/modes/file, "
+                                f"got {spec!r}")
+    key, value = f"{key}.{part}", spec[part]
+    try:
+        if part == "constant":
+            phi = PeriodicScalarField.constant(grid, complex(value))
+        elif part == "modes":
+            phi = field_from_records(grid, value)
         else:
-            path = Path(spec["file"])
-        return load_field(path, grid)
-    raise ConfigSchemaError(f"field spec needs one of constant/modes/file: {spec!r}")
+            path = (ctx.config_path.parent / value).resolve()
+            ctx.input_hashes[str(path)] = _sha256_file(path)
+            phi = load_field(path, grid)
+    except KeyError as exc:  # a mode outside the truncation window
+        raise InadmissibleParameterError(f"{key}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        raise ConfigSchemaError(f"{key}: {exc}") from exc
+    if not np.all(np.isfinite(phi.coeffs)):
+        raise ConfigSchemaError(f"{key}: non-finite coefficients in {value!r}")
+    return phi
 
 
-def build_coefficients(cfg: dict, grid: FourierGrid, ctx: RunContext | None = None,
+def build_coefficients(cfg: dict, grid: FourierGrid, ctx: RunContext,
                        strict: bool = True) -> CoefficientSet:
     c = cfg["coefficients"]
-    return CoefficientSet(
-        g=build_field(c["G"], grid, ctx),
-        h=build_field(c["H"], grid, ctx),
-        f=build_field(c["F"], grid, ctx),
-        p=float(c["p"]), q=float(c["q"]), f_bound=float(c["f_bound"]),
-        strict=strict,
-    )
+    g, h, f = (build_field(c.get(name), grid, ctx, f"coefficients.{name}") for name in "GHF")
+    return CoefficientSet(g=g, h=h, f=f, p=float(c["p"]), q=float(c["q"]),
+                          f_bound=float(c["f_bound"]), strict=strict)
 
 
-def build_potential(cfg: dict, grid: FourierGrid, ctx: RunContext | None = None) -> MatrixPotential:
+def build_potential(cfg: dict, grid: FourierGrid, ctx: RunContext) -> MatrixPotential:
     pot = cfg.get("potential") or {}
-    zero = {"constant": 0.0}
-    return MatrixPotential(
-        v0=build_field(pot.get("V0", zero), grid, ctx),
-        v1=build_field(pot.get("V1", zero), grid, ctx),
-        v2=build_field(pot.get("V2", zero), grid, ctx),
-        v3=build_field(pot.get("V3", zero), grid, ctx),
-    )
+    return MatrixPotential(*(build_field(pot.get(name, {"constant": 0.0}), grid, ctx,
+                                         f"potential.{name}")
+                             for name in ("V0", "V1", "V2", "V3")))
 
 
 def _linear_grid(spec) -> np.ndarray:
@@ -432,12 +455,12 @@ def run_wiener(ctx: RunContext) -> int:
     grid = build_grid(cfg)
     coeffs = build_coefficients(cfg, grid, ctx)
     section = cfg["wiener"]
-    w = build_field(_require(section, "w", dict, "wiener"), grid, ctx)
+    w = build_field(section.get("w"), grid, ctx, "wiener.w")
     psi_spec = section.get("psi", {"constant": 0.0})
     if psi_spec == "canonical":
         psi = solve_canonical_gauge(coeffs).psi
     else:
-        psi = build_field(psi_spec, grid, ctx)
+        psi = build_field(psi_spec, grid, ctx, "wiener.psi")
     n_max = int(section.get("n_max", 256))
     theta = float(section.get("theta", 0.5))
     resolution = section.get("resolution")
@@ -472,7 +495,7 @@ def run_profile(ctx: RunContext) -> int:
     cfg = ctx.cfg
     grid = build_grid(cfg)
     section = cfg["profile"]
-    w = build_field(_require(section, "w", dict, "profile"), grid, ctx)
+    w = build_field(section.get("w"), grid, ctx, "profile.w")
     kwargs = {}
     for name in ("eps_grid", "b_grid", "count_grid", "t_grid"):
         if name in section:
@@ -601,9 +624,7 @@ def run_verify(ctx: RunContext) -> int:
 def run_validate(ctx: RunContext) -> int:
     cfg = ctx.cfg
     diagnostics = []
-    grid_cfg = cfg.get("grid", {})
-    m = int(grid_cfg.get("truncation_radius", 0))
-    s = int(grid_cfg.get("sample_resolution", 0))
+    m, s = cfg["grid"]["truncation_radius"], cfg["grid"]["sample_resolution"]
     if m < 1:
         diagnostics.append({"name": "grid", "message": "truncation_radius must be >= 1"})
     if s < 2 * (2 * m + 1):
@@ -623,7 +644,7 @@ def run_validate(ctx: RunContext) -> int:
         if wiener_cfg and "resolution" in wiener_cfg:
             psi_spec = wiener_cfg.get("psi", {"constant": 0.0})
             if psi_spec != "canonical":
-                psi = build_field(psi_spec, grid, ctx)
+                psi = build_field(psi_spec, grid, ctx, "wiener.psi")
                 req = required_resolution(psi, int(wiener_cfg.get("n_max", 256)))
                 res = wiener_cfg["resolution"]
                 res = (res, res) if np.isscalar(res) else tuple(res)

@@ -35,11 +35,8 @@ TOLERANCES = {
     "weight_zero": 1e-12,
 }
 
-# Defaults: grid sizes, recipe constants, and algorithm switches.
+# Defaults: grid sizes, recipe constants, and solver seeds.
 DEFAULTS = {
-    # Dense linear algebra is used while the scalar mode count (2M+1)^2 stays
-    # below this limit; beyond it operators go through the matrix-free path.
-    "dense_mode_limit": 4096,
     # Smallest admissible radius for the T-set machinery.
     "a_min": 2.0 * math.pi,
     # Default lower cutoff a0 for the coercivity radius.
@@ -59,11 +56,9 @@ DEFAULTS = {
     # Epsilon grid for relative-bound profiles; must contain 1.0 so that the
     # constant C_1(W) used by the bounded-multiplier estimates is tabulated.
     "eps_grid": (1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
-    # LOBPCG settings for matrix-free smallest singular values; the seed also
-    # draws the Lanczos start vector of the dense (LU) route.
-    "lobpcg_tol": 1e-9,
-    "lobpcg_maxiter": 2000,
-    "lobpcg_seed": 0,
+    # Seed of the Lanczos start and restart vectors: smallest_singular_value
+    # (one LU of the dense fiber, then Lanczos on (A^H A)^{-1}, at any size).
+    "lanczos_seed": 0,
     # Worker count for per-fiber parallel dispatch.
     "workers": 1,
     # Cap on the ladder length J when constructing separated radii a_2..a_{J+1}.
@@ -76,6 +71,5 @@ DEFAULTS = {
 SCHEMA_VERSIONS = {
     "field": "dirac2d.field/1",
     "gauge": "dirac2d.gauge/1",
-    "operator": "dirac2d.operator/1",
     "manifest": "dirac2d.manifest/1",
 }

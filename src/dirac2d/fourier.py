@@ -130,9 +130,7 @@ class PeriodicScalarField:
 
     @classmethod
     def constant(cls, grid: FourierGrid, value: complex) -> "PeriodicScalarField":
-        c = np.zeros(grid.n_modes, dtype=np.complex128)
-        c[grid.mode_index(0, 0)] = value
-        return cls(grid, c)
+        return cls.from_modes(grid, {(0, 0): value})
 
     @classmethod
     def from_modes(cls, grid: FourierGrid, modes: dict) -> "PeriodicScalarField":
@@ -186,16 +184,13 @@ class PeriodicScalarField:
     # -- arithmetic (linear operations only; products go through convolve) --
 
     def __add__(self, other):
-        if isinstance(other, PeriodicScalarField):
-            _require_same_grid(self.grid, other.grid)
-            return PeriodicScalarField(self.grid, self.coeffs + other.coeffs)
-        return PeriodicScalarField(self.grid, self.coeffs + _constant_coeffs(self.grid, other))
+        if not isinstance(other, PeriodicScalarField):
+            other = PeriodicScalarField.constant(self.grid, other)
+        _require_same_grid(self.grid, other.grid)
+        return PeriodicScalarField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, PeriodicScalarField):
-            _require_same_grid(self.grid, other.grid)
-            return PeriodicScalarField(self.grid, self.coeffs - other.coeffs)
-        return PeriodicScalarField(self.grid, self.coeffs - _constant_coeffs(self.grid, other))
+        return self + (-other)
 
     def __mul__(self, scalar):
         return PeriodicScalarField(self.grid, self.coeffs * complex(scalar))
@@ -204,12 +199,6 @@ class PeriodicScalarField:
 
     def __neg__(self):
         return PeriodicScalarField(self.grid, -self.coeffs)
-
-
-def _constant_coeffs(grid: FourierGrid, value: complex) -> np.ndarray:
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
-    c[grid.mode_index(0, 0)] = complex(value)
-    return c
 
 
 def _require_same_grid(a: FourierGrid, b: FourierGrid):
@@ -517,7 +506,7 @@ def field_to_json(phi: PeriodicScalarField) -> dict:
 
 
 def field_from_json(payload: dict, grid: FourierGrid) -> PeriodicScalarField:
-    schema = payload.get("schema")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSIONS["field"]:
         raise ValueError(f"unsupported field schema {schema!r}")
     kind = payload.get("kind")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULTS, SCHEMA_VERSIONS, TOLERANCES
+from .defaults import DEFAULTS, TOLERANCES
 from .errors import GaugeOverflowError, GridMismatchError
 from .fourier import (
     CoefficientSet,
@@ -242,14 +242,6 @@ class TruncatedOperator:
         for r, c in zip(rows, cols):
             v = mat[r, c]
             yield int(r), int(c), float(v.real), float(v.imag)
-
-    def export_json(self, tol: float = 0.0) -> dict:
-        return {
-            "schema": SCHEMA_VERSIONS["operator"],
-            "truncation_radius": self.grid.truncation_radius,
-            "n_components": self.n_components,
-            "entries": [list(rec) for rec in self.export_records(tol)],
-        }
 
 
 def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:

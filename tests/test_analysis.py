@@ -72,6 +72,17 @@ class TestBandStructure:
         assert np.array_equal(t1.values, t2.values)
         assert np.all(np.diff(t1.values[0]) >= 0)
 
+    def test_band_cut_keeps_pm_pairs(self):
+        # The sigma_3 mass spectrum is exactly +- symmetric; at these corners
+        # n_bands = 6 cuts through a degenerate |value| level.
+        grid, cs = constant_set(4)
+        V = d.MatrixPotential.diagonal(grid, v3=0.7)
+        kgrid = [[np.pi, 0.0], [0.0, np.pi], [np.pi, np.pi]]
+        table = d.band_structure(cs, V, kgrid, n_bands=6)
+        for vals in table.values:
+            np.testing.assert_allclose(vals, -vals[::-1], rtol=0,
+                                       atol=d.TOLERANCES["band_oracle"])
+
     def test_weyl_continuity(self):
         # Full sorted Hermitian spectra: adjacent-k jumps are bounded by the
         # operator-norm difference of the fibers.
@@ -174,7 +185,7 @@ class TestSweep:
 
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         assert d.smallest_singular_value(op) == scipy.linalg.svdvals(op.matrix)[-1]
 
     @pytest.mark.parametrize("m", [3, 6, 8])

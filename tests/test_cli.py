@@ -1,18 +1,23 @@
 """Command-line front end: subcommands, persistence, determinism, exit codes."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import dirac2d as d
-from dirac2d.cli import main
+from dirac2d.cli import SCHEMA, main
 
 REPO = Path(__file__).resolve().parents[1]
 FREE_CONFIG = REPO / "configs" / "constant_free.yaml"
@@ -165,7 +170,7 @@ class TestExitCodes:
         assert code == 4
 
 
-# Edge configs that once escaped as a raw ValueError (exit 1, traceback).
+# Edge configs that once escaped as a traceback (exit 1) or ran a wrong sweep line.
 EDGE_CONFIGS = [
     ("verify", "verify.counting.a_values=[1.0]"),
     ("verify", "verify.trials=0"),
@@ -180,13 +185,24 @@ EDGE_CONFIGS = [
     ("bands", "bands.k_grid=[[0.5, .nan]]"),
     ("wiener", "wiener.resolution=[.nan, 64]"),
     ("wiener", "wiener.resolution=0"),
+    ("bands", "potential=5"),
+    ("bands", "potential.V1.modes=5"),
+    ("bands", "potential.V1.file=nope.json"),
+    ("verify", "verify.counting=5"),
+    ("verify", "verify.cross_term=[1]"),
+    ("bands", "bands.k_grid=[[1]]"),
+    ("sweep", "sweep.direction=[1]"),
+    ("sweep", "sweep.k_prime=[1]"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
                    "bands.k_grid.n1=0", "wiener.n_max=0", "wiener.theta=nan",
                    "sweep.k2_grid=[.nan]", "sweep.mu_grid=[1.0, .inf]",
                    "bands.k_grid=[[0.5, .nan]]", "wiener.resolution=[.nan, 64]",
-                   "wiener.resolution=0"}
+                   "wiener.resolution=0", "profile.eps_grid=[]", "potential=5",
+                   "potential.V1.modes=5", "potential.V1.file=nope.json", "verify.counting=5",
+                   "verify.cross_term=[1]", "bands.k_grid=[[1]]", "sweep.direction=[1]",
+                   "sweep.k_prime=[1]"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -201,6 +217,83 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+def _shrunk(path):
+    """A shipped config at M = 3 with small grids: no case allocates more than a few MB."""
+    cfg = yaml.safe_load(path.read_text())
+    cfg["grid"] = {"truncation_radius": 3, "sample_resolution": 14}
+    cfg.setdefault("bands", {})["k_grid"] = {"n1": 2, "n2": 2}
+    cfg.setdefault("sweep", {})["mu_grid"] = {"start": 0.0, "stop": 6.0, "count": 3}
+    cfg.setdefault("verify", {}).update(trials=3, counting={"k2_values": [0.0]})
+    if "wiener" in cfg:
+        cfg["wiener"].update(n_max=8, psi={"constant": 0.0})
+    return cfg
+
+
+SHIPPED = {p.stem: _shrunk(p) for p in sorted((REPO / "configs").glob("*.yaml"))}
+DELETE = object()
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
+                    st.sampled_from([0.5, -2.0, 1e-300, float("nan"), float("inf"),
+                                     "", "all", "canonical", "x"]))
+VALUES = st.one_of(SCALARS, st.just(DELETE), st.lists(SCALARS, max_size=3),
+                   st.lists(st.lists(SCALARS, max_size=4), min_size=1, max_size=2),
+                   st.dictionaries(st.sampled_from(["constant", "modes", "file", "start",
+                                                    "count", "n1", "a"]), SCALARS, max_size=2))
+
+
+def _paths(node, prefix=()):
+    """Every key path of a config tree, lists included."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+# Keys a mutation may add to any mapping: every key the shipped configs or the
+# schema use, so optional keys absent from the shipped files are reached too.
+KEYS = sorted({p[-1] for c in SHIPPED.values() for p in _paths(c) if isinstance(p[-1], str)}
+              | {part for key in SCHEMA for part in key.split(".")} | {"V0", "V1", "V2"})
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(1, 2))):
+        mappings = [()] + [p for p in _paths(cfg) if isinstance(_at(cfg, p), dict)]
+        path = draw(st.one_of(
+            st.sampled_from(list(_paths(cfg))),
+            st.tuples(st.sampled_from(mappings), st.sampled_from(KEYS)).map(
+                lambda t: t[0] + (t[1],))))
+        node, value = _at(cfg, path[:-1]), draw(VALUES)
+        if value is not DELETE:
+            node[path[-1]] = value
+        elif isinstance(node, list) or path[-1] in node:
+            del node[path[-1]]
+    return cfg
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(sub=st.sampled_from(["bands", "sweep", "gauge", "verify", "wiener", "profile",
+                            "validate"]),
+       cfg=mutated_configs())
+def test_fuzzed_configs_keep_the_exit_code_contract(sub, cfg):
+    # In process, an exception escaping main() fails the test as a traceback would.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(sub, "--config", path, "--out", Path(tmp) / "o")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):

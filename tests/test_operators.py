@@ -346,13 +346,3 @@ class TestGaugeConjugation:
         a = d.assemble_dirac(cs, None, (0.5, 0.5))
         b = d.assemble_dirac(cs, None, (0.5, 0.5))
         assert d.restricted_operator_distance(a, b) < 1e-13
-
-
-class TestMatrixFreeSigmaMin:
-    def test_cross_check_at_dense_boundary(self):
-        # Force the matrix-free route on a size the dense route can also do.
-        grid, cs, _ = random_set(m=4, seed=15)
-        op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum((np.pi, 0.3), (1.0, 0.0)))
-        dense = d.smallest_singular_value(op, dense_limit=10**6)
-        free = d.smallest_singular_value(op, dense_limit=1)
-        assert free == pytest.approx(dense, rel=1e-6)
