@@ -67,6 +67,7 @@ from .operators import (
     TruncatedOperator,
     assemble_dirac,
     assemble_dpm,
+    lanczos_lambda_max,
     multiplication_operator,
 )
 
@@ -95,10 +96,9 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     """sigma_min of a truncated operator, one algorithm at every size.
 
     The dense matrix A is factored once (LU with partial pivoting) and
-    Lanczos (ARPACK ``eigs``, tol = 0, start and restart vectors drawn from
-    ``DEFAULTS["lanczos_seed"]``) finds lambda_max of (A^H A)^{-1} through two
-    triangular solves per step, so sigma_min = lambda_max^{-1/2} without an
-    SVD.  An exactly zero pivot means A is singular in floating point and
+    seeded Lanczos (:func:`~dirac2d.operators.lanczos_lambda_max`) finds
+    lambda_max of (A^H A)^{-1} through two triangular solves per step, so
+    sigma_min = lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is singular in floating point and
     gives 0.0; if Lanczos does not converge the value comes from a full SVD.
     The dense matrix takes 16 dim^2 bytes (about 1 GiB at M = 32), the LU
     factors as much again.
@@ -108,17 +108,10 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     if info > 0:
         return 0.0
     solve = scipy.linalg.lapack.zgetrs
-    # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
-    inverse_normal = scipy.sparse.linalg.LinearOperator(
-        a.shape, dtype=np.complex128,
-        matvec=lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0])
-    rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
-    v0 = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
     try:
-        # ARPACK draws restart vectors from ``rng``; eigsh would pass a complex
-        # operator on to eigs without it, and the value would vary run to run.
-        lam = scipy.sparse.linalg.eigs(inverse_normal, k=1, which="LM", tol=0, v0=v0, rng=rng,
-                                       return_eigenvectors=False)[0].real
+        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+        lam = lanczos_lambda_max(
+            lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0], len(a))
     except scipy.sparse.linalg.ArpackNoConvergence:
         return float(scipy.linalg.svdvals(a)[-1])
     return float(1.0 / np.sqrt(lam))
@@ -153,11 +146,12 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
     and an assembled matrix equal to its conjugate transpose) and returns real
     eigenvalues; ``mode="singular"`` returns singular values; ``auto`` picks
     per assembly.  A fiber whose terms all map one spinor component to the
-    other (no V0/V3 term, e.g. the free fiber) is block off-diagonal, so its
-    eigenvalues are +-sigma of the lower block: one half-size SVD replaces
-    the full eigensolve.  When ``n_bands`` is given, the values of smallest magnitude
-    are kept per fiber and re-sorted ascending; a cut through a degenerate
-    level keeps +- pairs (see :func:`_cut_bands`).
+    other (no V0/V3 term, e.g. the free fiber) is block off-diagonal: its
+    eigenvalues are +-sigma of the lower block (one half-size SVD instead of
+    the full eigensolve) and its singular values are those of its two blocks
+    (two half-size SVDs).  When ``n_bands`` is given, the values of smallest
+    magnitude are kept per fiber and re-sorted ascending; a cut through a
+    degenerate level keeps +- pairs (see :func:`_cut_bands`).
     """
     if mode not in ("auto", "eigen", "singular"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,14 +170,19 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
             raise NonHermitianError(
                 f"fiber at k={tuple(k)} is not Hermitian (defect {defect:.3e})")
         use_eigen = hermitian if mode == "auto" else (mode == "eigen")
-        if use_eigen and all(i != j for i, j, _, _ in op.factors[0]):
+        n = grid.n_modes
+        off_diagonal = all(i != j for i, j, _, _ in op.factors[0])
+        if use_eigen and off_diagonal:
             # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
             # eigenvalues are +-sigma(B).
-            n = grid.n_modes
             s = scipy.linalg.svdvals(0.5 * (a[n:, :n] + a[:n, n:].conj().T))
             vals = np.concatenate([-s, s[::-1]])
         elif use_eigen:
             vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+        elif off_diagonal:
+            # sigma([[0, B1], [B2, 0]]) = sigma(B1) u sigma(B2): two half-size SVDs.
+            vals = np.sort(np.concatenate([scipy.linalg.svdvals(a[:n, n:]),
+                                           scipy.linalg.svdvals(a[n:, :n])]))
         else:
             vals = np.sort(scipy.linalg.svdvals(a))
         if n_bands is not None:
@@ -271,7 +270,8 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     Each point is one LU factorization and a Lanczos run on its solves
     (:func:`smallest_singular_value`).  A value below the certificate floor is
     flagged (a potential eigenvalue certificate failure), never raised; a
-    log-linear floor is fitted to the per-mu_tilde minima when all are positive.
+    log-linear floor is fitted to the per-mu_tilde minima when all are positive
+    and there are at least two distinct mu_tilde values.
     """
     grid = coeffs.grid if grid is None else grid
     e = np.asarray(sweep.direction, dtype=float)
@@ -292,7 +292,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     flagged = min_per_mu < TOLERANCES["sigma_min_flag"]
 
     intercept = slope = None
-    if np.all(min_per_mu > 0) and len(sweep.mu_grid) >= 2:
+    if np.all(min_per_mu > 0) and len(set(sweep.mu_grid)) >= 2:
         coeffs_fit = np.polyfit(np.asarray(sweep.mu_grid, dtype=float),
                                 np.log(min_per_mu), 1)
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])

@@ -56,8 +56,9 @@ DEFAULTS = {
     # Epsilon grid for relative-bound profiles; must contain 1.0 so that the
     # constant C_1(W) used by the bounded-multiplier estimates is tabulated.
     "eps_grid": (1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
-    # Seed of the Lanczos start and restart vectors: smallest_singular_value
-    # (one LU of the dense fiber, then Lanczos on (A^H A)^{-1}, at any size).
+    # Seed of the Lanczos start and restart vectors (smallest_singular_value,
+    # the gauge solve's s[0] and s[-2]) and of the vector that replaces the
+    # zero N = 0 column of i d_+(0) before its sparse LU.
     "lanczos_seed": 0,
     # Worker count for per-fiber parallel dispatch.
     "workers": 1,

@@ -510,6 +510,9 @@ def field_from_json(payload: dict, grid: FourierGrid) -> PeriodicScalarField:
     if schema != SCHEMA_VERSIONS["field"]:
         raise ValueError(f"unsupported field schema {schema!r}")
     kind = payload.get("kind")
+    required = {"coefficients": "entries", "samples": "real"}.get(kind)
+    if required is not None and required not in payload:
+        raise ValueError(f"field of kind {kind!r} has no {required!r} key")
     if kind == "coefficients":
         return field_from_records(grid, payload["entries"])
     if kind == "samples":

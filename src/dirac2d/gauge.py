@@ -12,12 +12,19 @@ control solvability of the first-order equations
 
 whose unique compatible shift k + i kappa is produced by a 2x2 Cramer solve
 with determinant 2i Im(mu1_+ conj(mu2_+)).  The gauge functions are then
-recovered from least squares on the zero-mean subspace, with the defect of the
+recovered by a solve on the zero-mean subspace, with the defect of the
 solvability condition reported as a residual.
 
-One SVD of A = i d_+(0) serves a whole solve: its last left singular vector
-is chi_+, and since the N = 0 column of A is zero its leading n - 1 triplets
-are the SVD of the zero-mean restriction.  Real coefficients give
+One sparse LU serves a whole solve.  The N = 0 column of A = i d_+(0) is
+zero; A' is A with that column replaced by a vector r drawn from
+``DEFAULTS["lanczos_seed"]``, nonsingular when the cokernel is
+one-dimensional.  A'^H y = e_0 forces A^H y = 0, so chi_+ is y / |y|.  For
+b orthogonal to chi_+, A' x = b gives x_0 = (chi_+, b) / (chi_+, r) = 0 and
+A x = b, so A'^{-1} is the zero-mean solve on chi_+^perp and, with P the
+projector onto chi_+^perp, P A'^{-H} A'^{-1} P = (A^+)^H A^+.  Seeded
+Lanczos on that operator gives the smallest nonzero singular value s[-2],
+Lanczos on A^H A the largest s[0], and sigma_min is |A^H chi_+|; no SVD is
+taken unless Lanczos fails to converge.  Real coefficients give
 i d_-(0) = R conj(A) R with R: N -> -N (the symmetry behind chi_- =
 conj(R chi_+)), so the same factors solve the - equation.  Both residuals are
 measured against the assembled matrices.
@@ -31,10 +38,14 @@ built together with injectivity and level-set diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from .defaults import SCHEMA_VERSIONS, TOLERANCES
+from .defaults import DEFAULTS, SCHEMA_VERSIONS, TOLERANCES
 from .errors import DegenerateCokernelError, Dirac2DError, IllConditionedError
 from .fourier import (
     CoefficientSet,
@@ -43,7 +54,7 @@ from .fourier import (
     field_to_records,
     sample_to_fourier,
 )
-from .operators import assemble_dpm
+from .operators import assemble_dpm, lanczos_lambda_max
 
 
 @dataclass(frozen=True)
@@ -75,14 +86,59 @@ def _phase_fix(chi: np.ndarray) -> np.ndarray:
     return chi * (np.conj(pivot) / abs(pivot))
 
 
-def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, u: np.ndarray,
-                   s: np.ndarray) -> CokernelPair:
-    gap = float(s[-2] - s[-1])
+class _DPlusLU:
+    """A = i d_+(0) at zero quasimomentum and one sparse LU of A' (see above)."""
+
+    def __init__(self, coeffs: CoefficientSet, grid: FourierGrid):
+        self.a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
+        n, c0 = len(self.a), grid.mode_index(0, 0)
+        self.sparse = scipy.sparse.csc_matrix(self.a)
+        self.adjoint = self.sparse.conj().T
+        rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        column = scipy.sparse.csc_matrix((r, (np.arange(n), np.full(n, c0))), shape=(n, n))
+        try:
+            self.lu = scipy.sparse.linalg.splu(self.sparse + column)
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+            raise DegenerateCokernelError(
+                f"i d_+(0) with its N = 0 column replaced is singular ({exc}); "
+                "cokernel not one-dimensional") from exc
+        e0 = np.zeros(n, dtype=np.complex128)
+        e0[c0] = 1.0
+        y = self.lu.solve(e0, trans="H")
+        self.chi = _phase_fix(y / np.linalg.norm(y))
+        self.sigma_min = float(np.linalg.norm(self.adjoint @ self.chi))
+
+    def _lanczos_or_svdvals(self, matvec, power: float, index: int) -> float:
+        try:
+            return lanczos_lambda_max(matvec, len(self.a)) ** power
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            return float(scipy.linalg.svdvals(self.a)[index])
+
+    @cached_property
+    def sigma_max(self) -> float:
+        """s[0], from Lanczos on A^H A."""
+        return self._lanczos_or_svdvals(lambda v: self.adjoint @ (self.sparse @ v), 0.5, 0)
+
+    @cached_property
+    def sigma_second(self) -> float:
+        """s[-2], the smallest nonzero singular value, from Lanczos on (A^+)^H A^+."""
+        chi, lu = self.chi, self.lu
+
+        def matvec(v):
+            v = v - chi * np.vdot(chi, v)
+            y = lu.solve(lu.solve(v), trans="H")
+            return y - chi * np.vdot(chi, y)
+        return self._lanczos_or_svdvals(matvec, -0.5, -2)
+
+
+def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, fac: _DPlusLU) -> CokernelPair:
+    gap = fac.sigma_second - fac.sigma_min
     if gap < TOLERANCES["cokernel_gap"]:
         raise DegenerateCokernelError(
             f"two smallest singular values differ by {gap:.3e} < "
             f"{TOLERANCES['cokernel_gap']:.0e}; cokernel not one-dimensional")
-    chi_plus = _phase_fix(u[:, -1])
+    chi_plus = fac.chi
     chi_minus = np.conj(chi_plus[::-1])
 
     cp, cm, h = coeffs.c_plus().coeffs, coeffs.c_minus().coeffs, coeffs.h.coeffs
@@ -94,7 +150,7 @@ def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, u: np.ndarray,
         mu1_minus=complex(np.vdot(chi_minus, cm)),
         mu2_plus=complex(np.vdot(chi_plus, 1j * h)),
         mu2_minus=complex(np.vdot(chi_minus, -1j * h)),
-        sigma_min=float(s[-1]),
+        sigma_min=fac.sigma_min,
         sigma_gap=gap,
     )
     if pair.c0_lower <= 0.0:
@@ -103,7 +159,7 @@ def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, u: np.ndarray,
 
 
 def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) -> CokernelPair:
-    """Left singular pair of the truncated d_+ for its smallest singular value.
+    """Unit cokernel vectors of the truncated d_+ and d_- and their pairings.
 
     The smallest singular value should vanish to rounding (the cokernel is
     one-dimensional); if the two smallest singular values are closer than the
@@ -111,8 +167,7 @@ def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) ->
     :class:`DegenerateCokernelError` is raised.
     """
     grid = coeffs.grid if grid is None else grid
-    a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
-    return _cokernel_pair(coeffs, grid, *np.linalg.svd(a)[:2])
+    return _cokernel_pair(coeffs, grid, _DPlusLU(coeffs, grid))
 
 
 def quasimomentum_from_pairings(pair: CokernelPair, ip_plus: complex,
@@ -161,16 +216,15 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     """Solve the gauge equations for band-limited data (C_1, C_2).
 
     Forms C_pm = C_1 +- i C_2, determines the unique shift k + i kappa from the
-    solvability system, then solves i d_pm Phi_pm = C'_pm by least squares on
-    the zero-mean subspace and recombines Phi = (Phi_+ + Phi_-)/2,
+    solvability system, then solves i d_pm Phi_pm = C'_pm on the zero-mean
+    subspace and recombines Phi = (Phi_+ + Phi_-)/2,
     Psi = i(Phi_+ - Phi_-)/2.  Real-valued data forces kappa = 0 and real
     (Phi, Psi); the ``realness_flag`` records whether that symmetry held.
     """
     grid = coeffs.grid if grid is None else grid
-    a_p = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
-    u, s, vh = np.linalg.svd(a_p)
+    fac = _DPlusLU(coeffs, grid)
     if pair is None:
-        pair = _cokernel_pair(coeffs, grid, u, s)
+        pair = _cokernel_pair(coeffs, grid, fac)
 
     c_p = PeriodicScalarField(grid, c1.coeffs + 1j * c2.coeffs)
     c_m = PeriodicScalarField(grid, c1.coeffs - 1j * c2.coeffs)
@@ -184,18 +238,16 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     rhs_p = c_p.coeffs - w1 * coeffs.c_plus().coeffs - 1j * w2 * coeffs.h.coeffs
     rhs_m = c_m.coeffs - w1 * coeffs.c_minus().coeffs + 1j * w2 * coeffs.h.coeffs
 
-    # Zero-mean least squares from the leading r = n - 1 triplets; Phi_- = R conj(x).
-    r = grid.n_modes - 1
-    cond = float(s[0] / s[r - 1]) if s[r - 1] > 0 else np.inf
+    # Zero-mean solves through A'^{-1}, both right-hand sides at once; Phi_- = R conj(x).
+    cond = float(fac.sigma_max / fac.sigma_second) if fac.sigma_second > 0 else np.inf
     if cond > TOLERANCES["gauge_condition_limit"]:
         raise IllConditionedError(
-            f"restricted least-squares condition number {cond:.3e} exceeds limit")
-    rhs = np.column_stack([rhs_p, np.conj(rhs_m[::-1])])
-    x = vh[:r].conj().T @ ((u[:, :r].conj().T @ rhs) / s[:r, None])
+            f"zero-mean condition number s[0]/s[-2] = {cond:.3e} exceeds limit")
+    x = fac.lu.solve(np.column_stack([rhs_p, np.conj(rhs_m[::-1])]))
     x[grid.mode_index(0, 0)] = 0.0
     phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
     a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-", grid).matrix
-    res_p = float(np.linalg.norm(a_p @ phi_p - rhs_p))
+    res_p = float(np.linalg.norm(fac.a @ phi_p - rhs_p))
     res_m = float(np.linalg.norm(a_m @ phi_m - rhs_m))
 
     phi = PeriodicScalarField(grid, 0.5 * (phi_p + phi_m))

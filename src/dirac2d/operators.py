@@ -21,16 +21,25 @@ is realised by one more multiplication factor on each side of the fiber.
 Every operator is held in one form: a product of factors, each factor a sum
 of terms (i, j, field, diag) that map spinor component j to component i by
 multiplying with the diagonal symbol and then with the field.  Both
-evaluation routes derive from those terms: the dense Galerkin matrix writes
-each factor's convolution blocks into one array and multiplies the factors;
-the matrix-free route applies each term by FFT (transform, multiply,
-transform back), factor by factor.  The two routes share no arithmetic, so
-they cross-check each other.  The FFT route transforms a batch laid out
-batch-first, (B, S, S), with ``scipy.fft``.  Each term allocates and frees
-its own work array, so a batched apply holds one such array at a time; at
-M = 16 and B = 578 it is 38 MiB.  ``scipy.fft`` is imported on the first
-matrix-free apply rather than at import time, because runs that only
-assemble dense fibers never need it and would pay its import time and memory.
+evaluation routes derive from those terms.  The column route builds any set
+of columns of the dense Galerkin matrix right to left: the last factor
+contributes only the needed columns of its convolution blocks (each read
+from one strided view of the field's coefficients), and every earlier
+factor is one dense product per (i, j) block; ``matrix`` is this route over
+every column, and ``restricted_operator_distance`` uses it on the probed
+columns only.  The matrix-free route applies each term by FFT (transform,
+multiply, transform back), factor by factor.  The two routes share no
+arithmetic, so they cross-check each other.  The FFT route transforms a
+batch laid out batch-first, (B, S, S), with ``scipy.fft``.  Each term
+allocates and frees its own work array, so a batched apply holds one such
+array at a time; at M = 16 and B = 578 it is 38 MiB.  ``scipy.fft`` is
+imported on the first matrix-free apply rather than at import time, because
+runs that only use the column route never need it and would pay its import
+time and memory.
+
+A seeded Lanczos helper (:func:`lanczos_lambda_max`) serves every iterative
+eigenvalue the library takes of a Hermitian positive operator: the fiber
+sigma_min and the gauge solve's extreme singular values.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
 from .errors import GaugeOverflowError, GridMismatchError
@@ -114,15 +124,22 @@ class MatrixPotential:
 # Terms: convolution matrices and FFT application
 # ---------------------------------------------------------------------------
 
-def _convolution_matrix(field: PeriodicScalarField) -> np.ndarray:
-    """Dense Galerkin matrix of multiplication by the field: C[N, M] = W_{N-M}."""
+def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
+    """Columns ``cols`` of the Galerkin matrix of multiplication by the field.
+
+    C[N, N'] = W_{N-N'}.  With the modes in row-major (n1, n2) order C is block
+    Toeplitz with Toeplitz blocks, C[(a, p), (b, q)] = w[a - b + 2m, p - q + 2m]
+    for the zero-padded coefficient square w, so every entry is read from one
+    strided view of w and only the requested columns are copied out.
+    """
     g = field.grid
-    m = g.truncation_radius
+    m, s = g.truncation_radius, g.side
     w = np.zeros((4 * m + 1, 4 * m + 1), dtype=np.complex128)
-    w[m : 3 * m + 1, m : 3 * m + 1] = field.coeffs.reshape(g.side, g.side)
-    d1 = g.n1[:, None] - g.n1[None, :] + 2 * m
-    d2 = g.n2[:, None] - g.n2[None, :] + 2 * m
-    return w[d1, d2]
+    w[m : 3 * m + 1, m : 3 * m + 1] = field.coeffs.reshape(s, s)
+    # view[a, p, b, q] = w[a - b + 2m, p - q + 2m]
+    view = np.lib.stride_tricks.sliding_window_view(w[::-1, ::-1], (s, s))[::-1, ::-1]
+    b, q = np.divmod(np.arange(g.n_modes)[cols], s)
+    return view[:, :, b, q].reshape(g.n_modes, -1)
 
 
 def _multiply(vec: np.ndarray, samples: np.ndarray, grid: FourierGrid) -> np.ndarray:
@@ -141,6 +158,26 @@ def _multiply(vec: np.ndarray, samples: np.ndarray, grid: FourierGrid) -> np.nda
     return scipy.fft.fft2(phys, axes=(1, 2), overwrite_x=True).reshape(-1, s * s)[:, flat].T
 
 
+def _blocks(factor):
+    """(i, j, block) for each (i, j) a factor maps, one dense block at a time.
+
+    A block is the sum of the factor's (i, j) terms in the order the builder
+    lists them.
+    """
+    for i, j in dict.fromkeys((i, j) for i, j, _, _ in factor):
+        block = None
+        for ti, tj, field, diag in factor:
+            if (ti, tj) == (i, j):
+                c = _convolution_matrix(field, slice(None))
+                if diag is not None:
+                    c *= diag
+                if block is None:
+                    block = c
+                else:
+                    block += c
+        yield i, j, block
+
+
 # ---------------------------------------------------------------------------
 # The public operator type
 # ---------------------------------------------------------------------------
@@ -154,7 +191,8 @@ class TruncatedOperator:
     means 1) and then by ``field``; a factor is the sum of its terms.
 
     ``apply`` runs the matrix-free FFT route (cost O(M^2 log M) per vector);
-    ``matrix`` assembles the dense Galerkin matrix from convolution matrices.
+    ``columns`` builds chosen columns of the dense Galerkin matrix from
+    convolution blocks, and ``matrix`` is all of them.
     Both describe the same truncated operator and agree to rounding.  The
     field samples the FFT route needs are computed on the first apply.
     Instances are immutable once assembled and safe to share across workers.
@@ -207,22 +245,43 @@ class TruncatedOperator:
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
         return self._run(vec, adjoint=True)
 
-    def _factor_matrix(self, factor) -> np.ndarray:
+    def columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` (strictly ascending) of the dense Galerkin matrix.
+
+        The matrix is built right to left: the last factor contributes only
+        the needed columns of its convolution blocks, and every earlier
+        factor is one dense product per (i, j) block it has and nonzero
+        block of the product so far, so the cost scales with ``len(idx)``.
+        """
         n = self.grid.n_modes
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i, j, field, diag in factor:
-            c = _convolution_matrix(field)
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] += c if diag is None else c * diag
+        idx = np.asarray(idx)
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("column indices must be strictly ascending")
+        comp, mode = np.divmod(idx, n)
+        bounds = np.searchsorted(comp, np.arange(self.n_components + 1))
+        cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        rows = [slice(i * n, (i + 1) * n) for i in range(self.n_components)]
+        out = np.zeros((self.dim, idx.size), dtype=np.complex128)
+        for i, j, field, diag in self.factors[-1]:
+            c = _convolution_matrix(field, mode[cols[j]])
+            out[rows[i], cols[j]] += c if diag is None else c * diag[mode[cols[j]]]
+        # (row component, column component) blocks of ``out`` that are not zero.
+        live = {(i, j) for i, j, _, _ in self.factors[-1]}
+        for factor in reversed(self.factors[:-1]):
+            nxt, reached = np.zeros_like(out), set()
+            for i, j, block in _blocks(factor):
+                for row, c in live:
+                    if row == j:
+                        nxt[rows[i], cols[c]] += block @ out[rows[j], cols[c]]
+                        reached.add((i, c))
+            out, live = nxt, reached
         return out
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Galerkin matrix (built lazily, cached)."""
+        """Dense Galerkin matrix: :meth:`columns` over every column (cached)."""
         if self._matrix is None:
-            out = self._factor_matrix(self.factors[-1])
-            for factor in reversed(self.factors[:-1]):
-                out = self._factor_matrix(factor) @ out
-            self._matrix = out
+            self._matrix = self.columns(np.arange(self.dim))
         return self._matrix
 
     def _require_compatible(self, other: "TruncatedOperator"):
@@ -247,6 +306,24 @@ class TruncatedOperator:
 def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     """Truncated multiplication by a scalar field."""
     return TruncatedOperator(field.grid, 1, [[(0, 0, field, None)]])
+
+
+def lanczos_lambda_max(matvec, dim: int) -> float:
+    """Largest eigenvalue of a Hermitian positive semidefinite operator on C^dim.
+
+    ARPACK ``eigs`` runs Lanczos to tol = 0 from a start vector drawn from
+    ``DEFAULTS["lanczos_seed"]`` and draws its restart vectors from the same
+    generator, so the value is the same on every run.  Raises
+    ``scipy.sparse.linalg.ArpackNoConvergence`` when it does not converge.
+    """
+    rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
+    # eigsh would pass a complex operator on to eigs without ``rng``, and the
+    # value would vary run to run.
+    lam = scipy.sparse.linalg.eigs(op, k=1, which="LM", tol=0, v0=v0, rng=rng,
+                                   return_eigenvectors=False)
+    return float(lam[0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +446,7 @@ def restricted_operator_distance(a: TruncatedOperator, b: TruncatedOperator,
         probe_radius = max(1, int(grid.truncation_radius * DEFAULTS["probe_radius_fraction"]))
     sel = (np.abs(grid.n1) <= probe_radius) & (np.abs(grid.n2) <= probe_radius)
     idx = np.nonzero(np.concatenate([sel] * a.n_components))[0]
-    probe = np.zeros((a.dim, idx.size), dtype=np.complex128)
-    probe[idx, np.arange(idx.size)] = 1.0
-    diff = a.apply(probe) - b.apply(probe)
-    return float(np.linalg.norm(diff, ord=2))
+    diff = a.columns(idx) - b.columns(idx)
+    # ||D||_2^2 is the top eigenvalue of the small Gram matrix D^H D.
+    top = np.linalg.eigvalsh(diff.conj().T @ diff)[-1]
+    return float(np.sqrt(max(top, 0.0)))

@@ -148,6 +148,27 @@ class TestBandStructure:
             full = scipy.linalg.eigvalsh(0.5 * (a + a.conj().T))
             assert np.max(np.abs(vals - full)) <= 1e-12
 
+    def test_singular_off_diagonal_route_matches_full_svdvals(self, monkeypatch):
+        # Variable coefficients and complex V1/V2: no diagonal blocks, so the
+        # singular values come from two half-size SVDs, not one full-size one.
+        grid, cs, rng = random_set(m=4, seed=12)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        V = d.MatrixPotential(zero, d.random_trig_field(grid, rng, 2, 0.5, real=False),
+                              d.random_trig_field(grid, rng, 2, 0.5, real=False), zero)
+        kgrid = rng.uniform(0.0, 2 * np.pi, size=(3, 2))
+        svdvals = scipy.linalg.svdvals
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svdvals(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+        table = d.band_structure(cs, V, kgrid, mode="singular")
+        assert shapes == [(grid.n_modes, grid.n_modes)] * 2 * len(kgrid)
+        for kp, vals in zip(kgrid, table.values):
+            full = np.sort(svdvals(d.assemble_dirac(cs, V, kp).matrix))
+            assert np.max(np.abs(vals - full)) <= 1e-12
+
     def test_diagonal_potential_keeps_eigvalsh(self, monkeypatch):
         grid, cs = constant_set(3)
         calls = self.count_eigvalsh(monkeypatch)

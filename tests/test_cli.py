@@ -170,6 +170,29 @@ class TestExitCodes:
         assert code == 4
 
 
+    @pytest.mark.parametrize("kind,key", [("coefficients", "entries"), ("samples", "real")])
+    def test_field_file_without_data_key(self, tmp_path, capsys, kind, key):
+        (tmp_path / "g.json").write_text(json.dumps({"schema": "dirac2d.field/1", "kind": kind}))
+        cfg = yaml.safe_load(FREE_CONFIG.read_text())
+        cfg["coefficients"]["G"] = {"file": "g.json"}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run("bands", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "coefficients.G.file" in err and repr(key) in err
+
+    def test_sweep_with_one_distinct_mu_skips_the_fit(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run("sweep", "--config", FREE_CONFIG, "--out", out,
+                   "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+                   "--set", "sweep.mu_grid=[0.0, 0.0]")
+        assert code == 0 and capsys.readouterr().err == ""
+        results = json.loads((out / "manifest.json").read_text())["results"]["sweep"]
+        assert results["floor_log_intercept"] is None and results["floor_log_slope"] is None
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[0] for row in rows] == ["0.0", "0.0"]
+
+
 # Edge configs that once escaped as a traceback (exit 1) or ran a wrong sweep line.
 EDGE_CONFIGS = [
     ("verify", "verify.counting.a_values=[1.0]"),

@@ -1,7 +1,11 @@
 """Cokernel vectors, gauge solvers, the plane map, and level-set diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import dirac2d as d
 
@@ -125,7 +129,7 @@ class TestSolveGauge:
         assert abs(sol.psi.mean) == 0.0
 
     def test_rerun_determinism(self):
-        # The solver is a direct SVD least squares: a re-run reproduces the
+        # The solver is a direct sparse LU solve: a re-run reproduces the
         # solution exactly (the uniqueness surrogate).
         grid, cs, rng = random_set(seed=8)
         c1 = d.random_trig_field(grid, rng, 2, 0.5)
@@ -194,20 +198,100 @@ class TestSingleFactorization:
         assert sol.residual_minus == pytest.approx(measured, rel=1e-8)
 
     @pytest.mark.parametrize("with_pair", [False, True])
-    def test_one_svd_per_solve(self, monkeypatch, with_pair):
+    def test_no_svd_and_one_splu_per_solve(self, monkeypatch, with_pair):
         grid, cs, rng = random_set(m=4, seed=23)
         pair = d.cokernel_vectors(cs) if with_pair else None
         c1 = d.random_trig_field(grid, rng, 2, 0.5)
         c2 = d.random_trig_field(grid, rng, 2, 0.5)
         calls = []
-        svd = np.linalg.svd
+        splu = scipy.sparse.linalg.splu
 
-        def counting_svd(*args, **kwargs):
+        def counting_splu(*args, **kwargs):
             calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-        monkeypatch.setattr(d.gauge.np.linalg, "svd", counting_svd)
+            return splu(*args, **kwargs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the gauge solve took an SVD")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
         d.solve_gauge(cs, c1, c2, pair=pair)
-        assert len(calls) == 1
+        assert calls == [(grid.n_modes, grid.n_modes)]
+
+
+def svd_reference(cs, c1, c2):
+    """The dense SVD route: chi_+ = u[:, -1], zero-mean least squares from n - 1 triplets."""
+    grid = cs.grid
+    a = 1j * d.assemble_dpm(cs, (0.0, 0.0), 0.0, "+").matrix
+    u, s, vh = np.linalg.svd(a)
+    chi_p = u[:, -1]
+    chi_m = np.conj(chi_p[::-1])
+    h = cs.h.coeffs
+    pair = SimpleNamespace(mu1_plus=np.vdot(chi_p, cs.c_plus().coeffs),
+                           mu1_minus=np.vdot(chi_m, cs.c_minus().coeffs),
+                           mu2_plus=np.vdot(chi_p, 1j * h), mu2_minus=np.vdot(chi_m, -1j * h))
+    c_p, c_m = c1.coeffs + 1j * c2.coeffs, c1.coeffs - 1j * c2.coeffs
+    w1, w2 = d.quasimomentum_from_pairings(pair, np.vdot(chi_p, c_p), np.vdot(chi_m, c_m))
+    rhs_p = c_p - w1 * cs.c_plus().coeffs - 1j * w2 * h
+    rhs_m = c_m - w1 * cs.c_minus().coeffs + 1j * w2 * h
+    r = grid.n_modes - 1
+    rhs = np.column_stack([rhs_p, np.conj(rhs_m[::-1])])
+    x = vh[:r].conj().T @ ((u[:, :r].conj().T @ rhs) / s[:r, None])
+    x[grid.mode_index(0, 0)] = 0.0
+    phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
+    return u, s, 0.5 * (phi_p + phi_m), 0.5j * (phi_p - phi_m)
+
+
+class TestSparseRoute:
+    @pytest.mark.parametrize("m,seed", [(4, 31), (8, 32), (12, 33)])
+    def test_matches_dense_svd_oracle(self, m, seed):
+        grid, cs, rng = random_set(m=m, seed=seed)
+        c1 = d.random_trig_field(grid, rng, 2, 0.5, real=False)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5, real=False)
+        u, s, phi, psi = svd_reference(cs, c1, c2)
+        sol = d.solve_gauge(cs, c1, c2)
+        assert abs(abs(np.vdot(u[:, -1], sol.pair.chi_plus)) - 1.0) < 1e-10
+        assert sol.pair.sigma_gap == pytest.approx(s[-2] - s[-1], rel=1e-10)
+        assert sol.condition_plus == pytest.approx(s[0] / s[-2], rel=1e-10)
+        assert np.max(np.abs(sol.phi.coeffs - phi)) < 1e-10
+        assert np.max(np.abs(sol.psi.coeffs - psi)) < 1e-10
+
+    def test_lanczos_failure_falls_back_to_svdvals(self, monkeypatch):
+        grid, cs, rng = random_set(m=4, seed=34)
+        c1 = d.random_trig_field(grid, rng, 2, 0.5)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5)
+        expected = d.solve_gauge(cs, c1, c2).condition_plus
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        s = scipy.linalg.svdvals(1j * d.assemble_dpm(cs, (0.0, 0.0), 0.0, "+").matrix)
+        sol = d.solve_gauge(cs, c1, c2)
+        assert sol.condition_plus == s[0] / s[-2]
+        assert sol.condition_plus == pytest.approx(expected, rel=1e-10)
+
+    def test_gap_tolerance_raises_degenerate(self, monkeypatch):
+        _, cs, _ = random_set(m=4, seed=35)
+        monkeypatch.setitem(d.TOLERANCES, "cokernel_gap", 1e6)
+        with pytest.raises(d.DegenerateCokernelError):
+            d.cokernel_vectors(cs)
+
+    def test_condition_limit_raises_ill_conditioned(self, monkeypatch):
+        grid, cs, rng = random_set(m=4, seed=36)
+        c1 = d.random_trig_field(grid, rng, 2, 0.5)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5)
+        monkeypatch.setitem(d.TOLERANCES, "gauge_condition_limit", 1.0)
+        with pytest.raises(d.IllConditionedError):
+            d.solve_gauge(cs, c1, c2)
+
+    def test_exactly_singular_factor_is_degenerate(self):
+        # G = H = F = 0: A = 0, so A' has one nonzero column and no LU.
+        grid, cs = constant_set(m=3)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        for name in "ghf":
+            object.__setattr__(cs, name, zero)
+        with pytest.raises(d.DegenerateCokernelError):
+            d.cokernel_vectors(cs)
 
 
 class TestCanonicalGauge:

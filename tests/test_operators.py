@@ -346,3 +346,67 @@ class TestGaugeConjugation:
         a = d.assemble_dirac(cs, None, (0.5, 0.5))
         b = d.assemble_dirac(cs, None, (0.5, 0.5))
         assert d.restricted_operator_distance(a, b) < 1e-13
+
+
+def conjugated_pair(m, seed):
+    """A gauge-conjugated fiber and the potential fiber it is compared with (as in C3)."""
+    grid, cs, rng = random_set(m=m, seed=seed)
+    c1 = d.random_trig_field(grid, rng, 2, 0.5)
+    c2 = d.random_trig_field(grid, rng, 2, 0.5)
+    sol = d.solve_gauge(cs, c1, c2)
+    z = d.ComplexQuasimomentum(sol.k, sol.kappa)
+    lhs = d.gauge_conjugate(d.assemble_dirac(cs, None, z), sol.phi, sol.psi, 1.0)
+    zero = d.PeriodicScalarField.constant(grid, 0.0)
+    rhs = d.assemble_dirac(cs, d.MatrixPotential(zero, c1, c2, zero), (0.0, 0.0))
+    return lhs, rhs
+
+
+def fft_probe_distance(a, b, probe_radius=None):
+    """The restricted distance by FFT applies on identity probes and an ord=2 SVD norm."""
+    grid = a.grid
+    if probe_radius is None:
+        probe_radius = max(1, int(grid.truncation_radius * d.DEFAULTS["probe_radius_fraction"]))
+    sel = (np.abs(grid.n1) <= probe_radius) & (np.abs(grid.n2) <= probe_radius)
+    idx = np.nonzero(np.concatenate([sel] * a.n_components))[0]
+    probe = np.zeros((a.dim, idx.size), dtype=np.complex128)
+    probe[idx, np.arange(idx.size)] = 1.0
+    return float(np.linalg.norm(a.apply(probe) - b.apply(probe), ord=2))
+
+
+class TestColumnRoute:
+    def test_columns_match_matrix_and_fft_probes(self):
+        lhs, _ = conjugated_pair(6, seed=41)
+        idx = np.sort(np.random.default_rng(42).permutation(lhs.dim)[:40])
+        cols = lhs.columns(idx)
+        probe = np.zeros((lhs.dim, idx.size), dtype=complex)
+        probe[idx, np.arange(idx.size)] = 1.0
+        assert np.max(np.abs(cols - lhs.matrix[:, idx])) < 1e-12
+        assert np.max(np.abs(cols - lhs.apply(probe))) < 1e-12
+
+    @pytest.mark.parametrize("probe_radius", [None, 2])
+    def test_distance_matches_fft_probe_formula(self, probe_radius):
+        lhs, rhs = conjugated_pair(6, seed=43)
+        got = d.restricted_operator_distance(lhs, rhs, probe_radius)
+        assert got > 1e-8
+        assert abs(got - fft_probe_distance(lhs, rhs, probe_radius)) < 1e-12
+
+    def test_gauge_solve_and_distance_leave_scipy_fft_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = """if True:
+            import sys
+            import numpy as np
+            import dirac2d as d
+            grid = d.FourierGrid(3, 14)
+            rng = np.random.default_rng(44)
+            cs = d.random_gamma_instance(grid, rng)
+            c1, c2 = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(2))
+            sol = d.solve_gauge(cs, c1, c2)
+            op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
+            op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
+            d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))
+            print('scipy.fft' in sys.modules)"""
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
