@@ -34,9 +34,9 @@ def describe(name, rep):
 free = d.CoefficientSet.constant(grid)
 sweep = d.SweepConfig(mu_grid=mu_grid, k2_grid=(0.0, 1.1))
 
-describe("free (floor = pi)", d.sigma_min_sweep(free, None, sweep, grid))
+describe("free (floor = pi)", d.sigma_min_sweep(free, None, sweep))
 describe("mass 0.3 sigma_3",
-         d.sigma_min_sweep(free, d.MatrixPotential.diagonal(grid, v3=0.3), sweep, grid))
+         d.sigma_min_sweep(free, d.MatrixPotential.diagonal(grid, v3=0.3), sweep))
 
 rng = np.random.default_rng(23)
 inst = d.random_gamma_instance(grid, rng, p=2.0, q=0.5, f_bound=1.0)
@@ -44,7 +44,7 @@ canonical = d.solve_canonical_gauge(inst)
 e = d.sweep_direction_from_gauge(canonical)
 print(f"\ncanonical direction e = ({e[0]:.4f}, {e[1]:.4f})  (e_1 > 0)")
 var_sweep = d.SweepConfig(direction=e, mu_grid=mu_grid, k2_grid=(0.0, 1.1))
-rep = d.sigma_min_sweep(inst, None, var_sweep, grid)
+rep = d.sigma_min_sweep(inst, None, var_sweep)
 describe("variable, canonical e", rep)
 
 print("\nsigma_min along mu_tilde (min over k2):")

@@ -20,7 +20,6 @@ from .errors import (
     NonHermitianError,
     ResolutionError,
     SingularWeightError,
-    SupportViolationError,
 )
 from .fourier import (
     CoefficientSet,

@@ -28,7 +28,10 @@ product instead of n_max passes over the grid (see :func:`power_moments`).
 
 Per-fiber work (each quasimomentum, each sweep point) is independent; a small
 thread pool dispatches it when ``workers`` > 1 and results are collected by
-index, so the output never depends on scheduling.
+index, so the output never depends on scheduling.  Nothing pins BLAS to one
+thread per worker, so the pool can be slower than one worker: on 2 cores with
+OpenBLAS at 2 threads, a ``sweep`` with ``workers = 2`` ran 13% slower than
+with ``workers = 1`` (median 2.18 against 1.92 s).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -47,11 +51,9 @@ from .errors import (
     NonHermitianError,
     ResolutionError,
     SingularWeightError,
-    SupportViolationError,
 )
 from .fourier import (
     CoefficientSet,
-    FourierGrid,
     ModeWeights,
     PeriodicScalarField,
     TWO_PI,
@@ -137,9 +139,9 @@ class BandTable:
                 yield float(kp[0]), float(kp[1]), idx, float(v)
 
 
-def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
-                   grid: FourierGrid | None = None, n_bands: int | None = None,
-                   mode: str = "auto", workers: int = 1) -> BandTable:
+def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
+                   n_bands: int | None = None, mode: str = "auto",
+                   workers: int = 1) -> BandTable:
     """Fiber spectra over a real quasimomentum grid.
 
     ``mode="eigen"`` requires a Hermitian fiber (Hermitian-flagged potential
@@ -155,13 +157,12 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
     """
     if mode not in ("auto", "eigen", "singular"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid = coeffs.grid if grid is None else grid
     kgrid = np.atleast_2d(np.asarray(kgrid, dtype=float))
     if mode == "eigen" and V is not None and not V.is_hermitian():
         raise NonHermitianError("self-adjoint mode requested with a non-Hermitian potential")
 
     def one(k):
-        op = assemble_dirac(coeffs, V, (k[0], k[1]), grid)
+        op = assemble_dirac(coeffs, V, (k[0], k[1]))
         a = op.matrix
         defect = float(np.max(np.abs(a - a.conj().T)))
         scale = max(1.0, float(np.max(np.abs(a))))
@@ -170,7 +171,7 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid,
             raise NonHermitianError(
                 f"fiber at k={tuple(k)} is not Hermitian (defect {defect:.3e})")
         use_eigen = hermitian if mode == "auto" else (mode == "eigen")
-        n = grid.n_modes
+        n = coeffs.grid.n_modes
         off_diagonal = all(i != j for i, j, _, _ in op.factors[0])
         if use_eigen and off_diagonal:
             # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
@@ -263,8 +264,7 @@ def sweep_direction_from_gauge(canonical) -> tuple[float, float]:
 
 
 def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
-                    sweep: SweepConfig, grid: FourierGrid | None = None,
-                    workers: int = 1) -> SweepReport:
+                    sweep: SweepConfig, *, workers: int = 1) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
     Each point is one LU factorization and a Lanczos run on its solves
@@ -273,7 +273,6 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     log-linear floor is fitted to the per-mu_tilde minima when all are positive
     and there are at least two distinct mu_tilde values.
     """
-    grid = coeffs.grid if grid is None else grid
     e = np.asarray(sweep.direction, dtype=float)
     kp = np.asarray(sweep.k_prime, dtype=float)
     cp = np.asarray(sweep.kappa_prime, dtype=float)
@@ -284,8 +283,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         k = np.array([sweep.k1, k2]) + kp
         kap = mu * e + cp
         z = ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1]))
-        op = assemble_dirac(coeffs, V, z, grid)
-        return smallest_singular_value(op)
+        return smallest_singular_value(assemble_dirac(coeffs, V, z))
 
     sigma = np.reshape(_pmap(one, tasks, workers), (len(sweep.mu_grid), len(sweep.k2_grid)))
     min_per_mu = sigma.min(axis=1)
@@ -305,10 +303,8 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
 # Equivalence constants for the weighted norms
 # ---------------------------------------------------------------------------
 
-def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0,
-                   grid: FourierGrid | None = None,
-                   sign: str = "both") -> tuple[float, float]:
-    """Extreme generalized singular values of dpm(k) + i mu H against Gpm_N.
+def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, float]:
+    """Extreme generalized singular values of dpm(k) + i mu H against Gpm_N, both signs.
 
     Returns (c1_emp, c2_emp) with 0 < c1_emp <= c2_emp such that
 
@@ -316,16 +312,14 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0,
 
     holds for every retained phi (these are the tight empirical constants).
     """
-    grid = coeffs.grid if grid is None else grid
-    weights = ModeWeights(grid, (float(k[0]), float(k[1])), float(mu))
-    signs = ("+", "-") if sign == "both" else (sign,)
+    weights = ModeWeights(coeffs.grid, (float(k[0]), float(k[1])), float(mu))
     c1, c2 = np.inf, 0.0
-    for s in signs:
+    for s in ("+", "-"):
         w = weights.g_plus if s == "+" else weights.g_minus
         if np.min(w) <= TOLERANCES["weight_zero"]:
             raise SingularWeightError(
                 f"weight G{s}_N vanishes in the window at k={tuple(weights.k)}, mu={mu}")
-        a = assemble_dpm(coeffs, (k[0], k[1]), mu, s, grid).matrix
+        a = assemble_dpm(coeffs, (k[0], k[1]), mu, s).matrix
         svals = scipy.linalg.svdvals(a / w[None, :])
         c1 = min(c1, float(svals[-1] ** 2))
         c2 = max(c2, float(svals[0] ** 2))
@@ -336,26 +330,14 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0,
 # Potential functionals
 # ---------------------------------------------------------------------------
 
-def _top_eigenvalue(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n <= 1500:
-        return float(np.linalg.eigvalsh(a)[-1])
-    # Lanczos with a relative tolerance; the spectrum top can be clustered, so
-    # the full decomposition stays the default up to moderate sizes.
-    v0 = np.ones(n) / np.sqrt(n)
-    val = scipy.sparse.linalg.eigsh(a, k=1, which="LA", tol=1e-8, v0=v0,
-                                    return_eigenvectors=False,
-                                    rng=np.random.default_rng(DEFAULTS["lanczos_seed"]))
-    return float(val[0])
-
-
-def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray,
-                              corners) -> np.ndarray:
+def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray) -> np.ndarray:
     """C_eps(W) via the quadratic-form surrogate, maximised over quasimomentum corners.
 
-    C_eps^2 = max over k' of lambda_max( C_W^H C_W - eps^2 diag(|k' + 2 pi N|^2) )
-    on the truncated space; the square root of the positive part is returned.
-    This upper-bounds the affine constant since sqrt(a^2 + b^2) <= a + b.
+    C_eps^2 = max over k' in ``DEFAULTS["quasimomentum_corners"]`` of
+    lambda_max( C_W^H C_W - eps^2 diag(|k' + 2 pi N|^2) ) on the truncated
+    space, from a dense ``eigvalsh`` at every size; the square root of the
+    positive part is returned.  This upper-bounds the affine constant since
+    sqrt(a^2 + b^2) <= a + b.
     """
     grid = w_field.grid
     c = multiplication_operator(w_field).matrix
@@ -363,30 +345,31 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     if np.max(np.abs(ctc)) == 0.0:
         return np.zeros(eps_grid.size)
     d2_list = [(k1 + TWO_PI * grid.n1) ** 2 + (k2 + TWO_PI * grid.n2) ** 2
-               for k1, k2 in corners]
+               for k1, k2 in DEFAULTS["quasimomentum_corners"]]
     out = np.empty(eps_grid.size)
     for i, eps in enumerate(eps_grid):
-        best = max(_top_eigenvalue(ctc - (eps**2) * np.diag(d2)) for d2 in d2_list)
+        best = max(np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2))[-1] for d2 in d2_list)
         out[i] = np.sqrt(max(best, 0.0))
     return out
 
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Tables of ||W_b||, f_W, C_eps, h_W, and htilde_W for one potential."""
+    """Tables of ||W_b||, f_W, C_eps, h_W, and htilde_W for one potential.
+
+    Each table is its method on its grid (``wb_norms = wb_norm(b_grid)``,
+    ``f_values = f_of(count_grid)``, ...); the methods take a number or an
+    array and read the sorted sample magnitudes and their suffix sums.
+    """
 
     w: PeriodicScalarField
     b_grid: np.ndarray
-    wb_norms: np.ndarray
     count_grid: np.ndarray
-    f_values: np.ndarray
     eps_grid: np.ndarray
     c_eps: np.ndarray
     t_grid: np.ndarray
-    h_values: np.ndarray
-    htilde_values: np.ndarray
-    corners: tuple
-    _sorted_abs: np.ndarray = field(repr=False, default=None)
+    _sorted_abs: np.ndarray = field(repr=False)  # |W| at the sample points, ascending
+    _suffix_sq: np.ndarray = field(repr=False)   # suffix sums of _sorted_abs**2, then 0
 
     @property
     def c1_w(self) -> float:
@@ -401,40 +384,53 @@ class PotentialProfile:
         """1 + C_1(W)/pi, the bounded-multiplier constant on T(mu/2) supports."""
         return 1.0 + self.c1_w / np.pi
 
-    def wb_norm(self, b: float) -> float:
-        sq = self._sorted_abs**2
+    def wb_norm(self, b):
+        """||W_b||, the root mean square over the samples (L^2(K) quadrature) of W on |W| > b."""
         idx = np.searchsorted(self._sorted_abs, b, side="right")
-        return float(np.sqrt(sq[idx:].sum() / sq.size))
+        return np.sqrt(self._suffix_sq[idx] / self._sorted_abs.size)
 
-    def f_of(self, n: int) -> float:
-        cands = np.concatenate([[0.0], self._sorted_abs])
-        norms = np.array([self.wb_norm(b) for b in cands])
-        return float(np.min(cands + np.sqrt(float(n)) * norms))
+    def f_of(self, n):
+        """f_W(N), minimised over b = 0 and the sample levels (where ||W_b|| steps)."""
+        cand = np.concatenate([[0.0], self._sorted_abs])
+        root = np.sqrt(np.asarray(n, dtype=float))[..., None]
+        return np.min(cand + root * self.wb_norm(cand), axis=-1)
 
-    def h_of(self, t: float) -> float:
-        return float(np.min(self.eps_grid + self.c_eps / t))
+    def h_of(self, t):
+        """h_W(t), minimised over the tabulated eps."""
+        return np.min(self.eps_grid + self.c_eps / np.asarray(t, dtype=float)[..., None], axis=-1)
 
-    def htilde_of(self, b: float) -> float:
-        return _htilde_value(self.wb_norm(b), self.eps_grid, self.c_eps)
+    def htilde_of(self, b):
+        """min over eps and a >= 2 pi of sqrt(6/pi) a ||W_b|| + eps + C_eps/a.
 
+        The minimising a is max(sqrt(C_eps / (sqrt(6/pi) ||W_b||)), 2 pi);
+        ||W_b|| = 0 lets a go to infinity and leaves eps.
+        """
+        coef = np.sqrt(6.0 / np.pi)
+        wb = np.asarray(self.wb_norm(b))[..., None]
+        live = wb > 0
+        a = np.maximum(np.sqrt(self.c_eps / (coef * np.where(live, wb, 1.0))), TWO_PI)
+        inner = np.where(live, coef * a * wb + self.c_eps / a, 0.0)
+        return np.min(self.eps_grid + inner, axis=-1)
 
-def _htilde_value(wb: float, eps_grid: np.ndarray, c_eps: np.ndarray) -> float:
-    """min over eps and a >= 2 pi of sqrt(6/pi) a wb + eps + C_eps/a (closed form in a)."""
-    coef = np.sqrt(6.0 / np.pi)
-    best = np.inf
-    for eps, ce in zip(eps_grid, c_eps):
-        if wb <= 0:
-            inner = 0.0  # a -> infinity
-        else:
-            a_star = np.sqrt(ce / (coef * wb)) if ce > 0 else 0.0
-            a_star = max(a_star, TWO_PI)
-            inner = coef * a_star * wb + ce / a_star
-        best = min(best, eps + inner)
-    return float(best)
+    @cached_property
+    def wb_norms(self) -> np.ndarray:
+        return self.wb_norm(self.b_grid)
+
+    @cached_property
+    def f_values(self) -> np.ndarray:
+        return self.f_of(self.count_grid)
+
+    @cached_property
+    def h_values(self) -> np.ndarray:
+        return self.h_of(self.t_grid)
+
+    @cached_property
+    def htilde_values(self) -> np.ndarray:
+        return self.htilde_of(self.b_grid)
 
 
 def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
-                      count_grid=None, t_grid=None, corners=None) -> PotentialProfile:
+                      count_grid=None, t_grid=None) -> PotentialProfile:
     """Threshold norms, relative-bound constants, and the derived functionals.
 
     All tables inherit the monotonicity of their defining infima: b -> ||W_b||
@@ -447,8 +443,7 @@ def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
     if not np.any(np.abs(eps_grid - 1.0) < 1e-12):
         eps_grid = np.sort(np.append(eps_grid, 1.0))
 
-    samples = w.samples()
-    absvals = np.sort(np.abs(samples).ravel())
+    absvals = np.sort(np.abs(w.samples()).ravel())
     top = float(absvals[-1])
 
     b_grid = np.linspace(0.0, top * (1.0 + 1e-6), 16) if b_grid is None else np.asarray(b_grid, dtype=float)
@@ -458,43 +453,20 @@ def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
     for name, g in (("b_grid", b_grid), ("count_grid", count_grid), ("t_grid", t_grid)):
         if g.size == 0:
             raise ValueError(f"{name} is empty")
-    corners = DEFAULTS["quasimomentum_corners"] if corners is None else tuple(corners)
 
-    # ||W_b|| over the requested levels (mean-square over samples = L^2(K) quadrature).
     sq = absvals**2
-    suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    n_s = sq.size
-
-    def norm_at(b):
-        idx = np.searchsorted(absvals, b, side="right")
-        return np.sqrt(suffix[idx] / n_s)
-
-    wb_norms = np.array([norm_at(b) for b in b_grid])
-
-    # f_W(N) = inf_b (b + sqrt(N) ||W_b||): minimise over the sample levels,
-    # where the step function b -> ||W_b|| actually changes.
-    cand_b = np.concatenate([[0.0], absvals])
-    cand_norm = np.array([norm_at(b) for b in cand_b])
-    f_values = np.array([
-        float(np.min(cand_b + np.sqrt(float(n)) * cand_norm)) for n in count_grid
-    ])
-
-    c_eps = _relative_bound_constants(w, eps_grid, corners)
-    h_values = np.array([float(np.min(eps_grid + c_eps / t)) for t in t_grid])
-    htilde_values = np.array([_htilde_value(nb, eps_grid, c_eps) for nb in wb_norms])
-
-    return PotentialProfile(w=w, b_grid=b_grid, wb_norms=wb_norms,
-                            count_grid=count_grid, f_values=f_values,
-                            eps_grid=eps_grid, c_eps=c_eps, t_grid=t_grid,
-                            h_values=h_values, htilde_values=htilde_values,
-                            corners=corners, _sorted_abs=absvals)
+    return PotentialProfile(w=w, b_grid=b_grid, count_grid=count_grid, eps_grid=eps_grid,
+                            c_eps=_relative_bound_constants(w, eps_grid), t_grid=t_grid,
+                            _sorted_abs=absvals,
+                            _suffix_sq=np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]]))
 
 
-def select_threshold_b(profile: PotentialProfile, c1: float,
-                       denominator: float | None = None) -> float | None:
-    """Smallest tabulated level b with htilde_W(b)^2 <= c1/denominator (or None)."""
-    denominator = DEFAULTS["threshold_margin_denominator"] if denominator is None else denominator
-    ok = profile.htilde_values**2 <= c1 / denominator
+def select_threshold_b(profile: PotentialProfile, c1: float) -> float | None:
+    """Smallest tabulated level b with htilde_W(b)^2 <= c1/192 (or None).
+
+    The denominator is ``DEFAULTS["threshold_margin_denominator"]``.
+    """
+    ok = profile.htilde_values**2 <= c1 / DEFAULTS["threshold_margin_denominator"]
     if not np.any(ok):
         return None
     return float(profile.b_grid[int(np.argmax(ok))])
@@ -652,7 +624,7 @@ def coercivity_operator(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                         mu: float, k) -> TruncatedOperator:
     """Assemble D(k) + i mu H sigma_1 + e^{2 i mu sigma_3 Psi}(V0~ I + V3~ sigma_3)."""
     grid = coeffs.grid
-    fiber = assemble_dirac(coeffs, None, (k[0], k[1]), grid, mu=mu)
+    fiber = assemble_dirac(coeffs, None, (k[0], k[1]), mu=mu)
     ps = psi.samples()
     b00 = sample_to_fourier(np.exp(2j * mu * ps) * (vtilde0 + vtilde3).samples(), grid)
     b11 = sample_to_fourier(np.exp(-2j * mu * ps) * (vtilde0 - vtilde3).samples(), grid)
@@ -661,17 +633,17 @@ def coercivity_operator(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
 
 def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                       vtilde3: PeriodicScalarField, psi: PeriodicScalarField,
-                      mu: float, a: float, k, trials: int = 100, *,
-                      seed: int = 0, c1: float | None = None,
-                      c7: float | None = None, c8: float | None = None,
+                      mu: float, a: float, k, trials: int = 100, *, seed: int = 0,
                       admissibility: list[WienerReport] | None = None) -> CoercivityReport:
     """Margins LHS - RHS of the coercivity inequality on random trial spinors.
 
     LHS is the squared fiber norm of the rotated-potential operator; RHS is
     (c1/6) sum_pm ||P^{T_pm(a)} phi_pm||_*^2 + c8 sum_pm ||P^{off} phi_pm||_{*,pm}^2.
-    c1 defaults to the empirical equivalence constant at (k, mu); c8 to
-    c1^2 / (6 (c1 + 4 c7^2)).  When threshold reports are supplied, a warning
-    is recorded if mu/pi lands in an estimated excluded set.
+    c1 is the empirical equivalence constant at (k, mu); c7 is 1 when both
+    rotated potentials vanish and otherwise the larger profile c7 of
+    vtilde0 +- vtilde3; c8 = c1^2 / (6 (c1 + 4 c7^2)).  When threshold
+    reports are supplied, a warning is recorded if mu/pi lands in an
+    estimated excluded set.
     """
     grid = coeffs.grid
     if abs(k[0] - np.pi) > 1e-12:
@@ -690,18 +662,13 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                 warnings.append(f"mu/pi = {nu_int} lies in an estimated excluded set")
                 break
 
-    if c1 is None:
-        c1, _ = estimate_c1_c2(coeffs, k, mu, grid)
-    if c7 is None:
-        if vtilde0.l2_norm() == 0.0 and vtilde3.l2_norm() == 0.0:
-            c7 = 1.0
-        else:
-            c7 = max(
-                potential_profile(vtilde0 + vtilde3).c7,
-                potential_profile(vtilde0 - vtilde3).c7,
-            )
-    if c8 is None:
-        c8 = c1**2 / (6.0 * (c1 + 4.0 * c7**2))
+    c1, _ = estimate_c1_c2(coeffs, k, mu)
+    if vtilde0.l2_norm() == 0.0 and vtilde3.l2_norm() == 0.0:
+        c7 = 1.0
+    else:
+        c7 = max(potential_profile(vtilde0 + vtilde3).c7,
+                 potential_profile(vtilde0 - vtilde3).c7)
+    c8 = c1**2 / (6.0 * (c1 + 4.0 * c7**2))
 
     weights = ModeWeights(grid, (float(k[0]), float(k[1])), float(mu))
     t_plus = index_set_T(weights, a, "+")
@@ -742,14 +709,13 @@ class CrossTermReport:
 
 
 def cross_term_check(w: PeriodicScalarField, weights: ModeWeights, a: float,
-                     a_prime: float, n_trials: int = 100, *, seed: int = 0,
-                     pairs=None) -> CrossTermReport:
+                     a_prime: float, n_trials: int = 100, *, seed: int = 0) -> CrossTermReport:
     """Check |(phi, W psi)| <= sqrt(6 pi) a (sum_{2 pi |N| > a'-a} |W_N|^2)^{1/2} ||phi|| ||psi||.
 
-    phi must vanish on T^pm(a'), psi outside T^pm(a) (same sign per pair); both
-    signs are exercised for each random trial.  When the spectral tail of W is
-    zero the inner product must vanish identically, which is verified against
-    an absolute floor instead of a ratio.
+    Each random trial draws phi vanishing on T^pm(a') and psi vanishing
+    outside T^pm(a) (same sign per pair), for both signs.  When the spectral
+    tail of W is zero the inner product must vanish identically, which is
+    verified against an absolute floor instead of a ratio.
     """
     mu = weights.mu
     if not (DEFAULTS["a_min"] <= a < a_prime <= mu / 2.0):
@@ -764,38 +730,22 @@ def cross_term_check(w: PeriodicScalarField, weights: ModeWeights, a: float,
     sets = {s: (index_set_T(weights, a, s), index_set_T(weights, a_prime, s))
             for s in ("+", "-")}
 
-    def one(phi, psi, sign):
-        t_a, t_ap = sets[sign]
-        if np.any(np.abs(phi[t_ap.mask]) > 0):
-            raise SupportViolationError("phi has support inside T(a')")
-        if np.any(np.abs(psi[~t_a.mask]) > 0):
-            raise SupportViolationError("psi has support outside T(a)")
-        ip = abs(complex(np.vdot(phi, mult.apply(psi))))
-        scale = np.linalg.norm(phi) * np.linalg.norm(psi)
-        return ip, scale
-
+    rng = np.random.default_rng(seed)
     ratios, zero_cases = [], 0
-    if pairs is not None:
-        iterable = pairs
-    else:
-        rng = np.random.default_rng(seed)
-        iterable = []
-        for _ in range(n_trials):
-            for sign in ("+", "-"):
-                t_a, t_ap = sets[sign]
-                phi = project(rng.standard_normal(grid.n_modes)
-                              + 1j * rng.standard_normal(grid.n_modes), ~t_ap.mask)
-                psi = project(rng.standard_normal(grid.n_modes)
-                              + 1j * rng.standard_normal(grid.n_modes), t_a.mask)
-                iterable.append((phi, psi, sign))
-
-    for phi, psi, sign in iterable:
-        ip, scale = one(phi, psi, sign)
-        if bound_const * scale > 1e-13:
-            ratios.append(ip / (bound_const * scale))
-        else:
-            zero_cases += 1
-            ratios.append(0.0 if ip <= 1e-10 * max(scale, 1.0) else np.inf)
+    for _ in range(n_trials):
+        for sign in ("+", "-"):
+            t_a, t_ap = sets[sign]
+            phi = project(rng.standard_normal(grid.n_modes)
+                          + 1j * rng.standard_normal(grid.n_modes), ~t_ap.mask)
+            psi = project(rng.standard_normal(grid.n_modes)
+                          + 1j * rng.standard_normal(grid.n_modes), t_a.mask)
+            ip = abs(complex(np.vdot(phi, mult.apply(psi))))
+            scale = np.linalg.norm(phi) * np.linalg.norm(psi)
+            if bound_const * scale > 1e-13:
+                ratios.append(ip / (bound_const * scale))
+            else:
+                zero_cases += 1
+                ratios.append(0.0 if ip <= 1e-10 * max(scale, 1.0) else np.inf)
 
     ratios = np.asarray(ratios)
     return CrossTermReport(ratios=ratios, max_ratio=float(np.max(ratios)),
@@ -869,7 +819,7 @@ class LadderReport:
 
 
 def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float,
-                         a1: float, cap: int | None = None) -> LadderReport:
+                         a1: float) -> LadderReport:
     """Radii ladder and threshold theta for the scaling-exclusion construction.
 
     J is the smallest integer with c2^2 <= J delta^2 where
@@ -878,9 +828,9 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
     the gap stay below delta / (4 sqrt(6 pi) a_j).  Once the gap clears the
     product bandwidth the tails are exactly zero and the remaining rungs use
     that constant gap, giving a closed form for arbitrarily long ladders.
-    theta = c1 / (192 pi a_1^2 tau*) with tau* = 4 a_J^2 / pi.
+    theta = c1 / (192 pi a_1^2 tau*) with tau* = 4 a_J^2 / pi.  At most
+    ``DEFAULTS["ladder_cap"]`` rungs are built one by one.
     """
-    cap = DEFAULTS["ladder_cap"] if cap is None else cap
     if a1 < DEFAULTS["a_min"]:
         raise InadmissibleParameterError(f"need a1 >= 2 pi, got {a1}")
     delta = min(c1 / 32.0, 1.5 * c8)
@@ -919,7 +869,7 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
     zero_gap = smallest_gap(noise_floor)
     feasible = True
     radii = [float(a1)]
-    head_cap = min(j_count, cap)
+    head_cap = min(j_count, DEFAULTS["ladder_cap"])
     for _ in range(head_cap):
         aj = radii[-1]
         gap = smallest_gap(delta / (4.0 * np.sqrt(6.0 * np.pi) * aj))

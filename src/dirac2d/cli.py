@@ -106,7 +106,10 @@ def _require(cfg: dict, key: str, types, where: str = "config"):
 # mapping is listed before the keys inside it.  Field specs are checked where
 # they are built (build_field).
 EXPECTED = {"num": "a finite number", "count": "a finite number >= 1",
-            "pair": "a list of two numbers", "nums": "a non-empty list of numbers",
+            "pos": "a finite number > 0", "pair": "a list of two numbers",
+            "nums": "a non-empty list of numbers",
+            "counts": "a non-empty list of numbers >= 1",
+            "posnums": "a non-empty list of numbers > 0",
             "line": "{start, stop, count} or a non-empty list of numbers",
             "kgrid": "{n1, n2} or a non-empty list of [k1, k2] pairs",
             "map": "a mapping", "res": "a positive integer or a pair of them"}
@@ -120,15 +123,16 @@ SCHEMA = {
     "verify.counting.a_values": "nums", "verify.cross_term": "map",
     "verify.cross_term.a": "num", "verify.cross_term.a_prime": "num",
     "wiener.n_max": "count", "wiener.theta": "num", "wiener.resolution": "res",
-    "profile.eps_grid": "nums", "profile.b_grid": "nums", "profile.count_grid": "nums",
-    "profile.t_grid": "nums",
+    "profile.eps_grid": "posnums", "profile.b_grid": "nums", "profile.count_grid": "counts",
+    "profile.t_grid": "posnums",
 }
 # Words a key accepts in place of its kind.
 KEYWORDS = {"potential": (None,), "bands.n_bands": ("all", None),
             "sweep.direction": ("canonical",)}
 _PARTS = {"line": {"start": "num", "stop": "num", "count": "count"},
           "kgrid": {"n1": "count", "n2": "count"}}
-_ENTRY = {"pair": "num", "nums": "num", "line": "num", "kgrid": "pair"}
+_ENTRY = {"pair": "num", "nums": "num", "counts": "count", "posnums": "pos",
+          "line": "num", "kgrid": "pair"}
 
 
 def check_schema(cfg: dict, subcommand: str) -> None:
@@ -161,12 +165,12 @@ def _check_value(value, key: str, kind: str) -> None:
         for part, sub in _PARTS[kind].items():
             _check_value(value.get(part), f"{key}.{part}", sub)
         return
-    if kind in ("num", "count"):
+    if kind in ("num", "count", "pos"):
         try:
             x = float(value)  # YAML reads ``nan`` as text; bools are numbers
         except (TypeError, ValueError):
             x = np.nan
-        ok = np.isfinite(x) and (kind == "num" or x >= 1)
+        ok = np.isfinite(x) and {"num": True, "count": x >= 1, "pos": x > 0}[kind]
     elif kind == "map":
         ok = isinstance(value, dict)
     elif kind == "res":
@@ -343,7 +347,7 @@ def run_bands(ctx: RunContext) -> int:
         kgrid = np.asarray(kspec, dtype=float)
     n_bands = section.get("n_bands", "all")
     n_bands = None if n_bands in ("all", None) else int(n_bands)
-    table = band_structure(coeffs, potential, kgrid, grid, n_bands=n_bands,
+    table = band_structure(coeffs, potential, kgrid, n_bands=n_bands,
                            mode=section.get("mode", "auto"), workers=ctx.workers)
 
     out = ctx.out_dir / "bands.csv"
@@ -383,7 +387,7 @@ def run_sweep(ctx: RunContext) -> int:
         k2_grid=tuple(_linear_grid(section.get("k2_grid", [0.0]))),
         k1=k1,
     )
-    report = sigma_min_sweep(coeffs, potential, sweep, grid, workers=ctx.workers)
+    report = sigma_min_sweep(coeffs, potential, sweep, workers=ctx.workers)
 
     out = ctx.out_dir / "sweep.csv"
     write_csv(out, ["mu_tilde", "k2", "sigma_min"], report.rows())
@@ -565,7 +569,7 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
                    "value": worst, "bound": 1e-9, "passed": worst <= 1e-9})
 
     # Two-sided equivalence constants.
-    c1, c2 = estimate_c1_c2(coeffs, k, mu, grid)
+    c1, c2 = estimate_c1_c2(coeffs, k, mu)
     checks.append({"suite": "two_sided", "name": "0 < c1_emp <= c2_emp",
                    "value": [c1, c2], "bound": None, "passed": 0 < c1 <= c2})
 
@@ -595,7 +599,7 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
 
     # Certificate floor on a short sweep line: no sigma_min below the flag level.
     sweep = SweepConfig(mu_grid=(0.0, float(np.pi), 2 * float(np.pi)), k2_grid=(k2,))
-    srep = sigma_min_sweep(coeffs, potential, sweep, grid, workers=ctx.workers)
+    srep = sigma_min_sweep(coeffs, potential, sweep, workers=ctx.workers)
     flags = int(np.count_nonzero(srep.flagged))
     checks.append({"suite": "sweep_floor",
                    "name": "sigma_min above the certificate floor on k1 = pi",

@@ -38,10 +38,6 @@ class ResolutionError(Dirac2DError, ValueError):
     """A quadrature grid is too coarse to resolve the requested oscillation."""
 
 
-class SupportViolationError(Dirac2DError, ValueError):
-    """A trial vector is supported outside its prescribed mode set."""
-
-
 class NonHermitianError(Dirac2DError, ValueError):
     """A self-adjoint eigenvalue path was requested for a non-Hermitian fiber."""
 

@@ -89,9 +89,9 @@ def _phase_fix(chi: np.ndarray) -> np.ndarray:
 class _DPlusLU:
     """A = i d_+(0) at zero quasimomentum and one sparse LU of A' (see above)."""
 
-    def __init__(self, coeffs: CoefficientSet, grid: FourierGrid):
-        self.a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).matrix
-        n, c0 = len(self.a), grid.mode_index(0, 0)
+    def __init__(self, coeffs: CoefficientSet):
+        self.a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+").matrix
+        n, c0 = len(self.a), coeffs.grid.mode_index(0, 0)
         self.sparse = scipy.sparse.csc_matrix(self.a)
         self.adjoint = self.sparse.conj().T
         rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
@@ -132,7 +132,7 @@ class _DPlusLU:
         return self._lanczos_or_svdvals(matvec, -0.5, -2)
 
 
-def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, fac: _DPlusLU) -> CokernelPair:
+def _cokernel_pair(coeffs: CoefficientSet, fac: _DPlusLU) -> CokernelPair:
     gap = fac.sigma_second - fac.sigma_min
     if gap < TOLERANCES["cokernel_gap"]:
         raise DegenerateCokernelError(
@@ -143,7 +143,7 @@ def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, fac: _DPlusLU) -> 
 
     cp, cm, h = coeffs.c_plus().coeffs, coeffs.c_minus().coeffs, coeffs.h.coeffs
     pair = CokernelPair(
-        grid=grid,
+        grid=coeffs.grid,
         chi_plus=chi_plus,
         chi_minus=chi_minus,
         mu1_plus=complex(np.vdot(chi_plus, cp)),
@@ -158,7 +158,7 @@ def _cokernel_pair(coeffs: CoefficientSet, grid: FourierGrid, fac: _DPlusLU) -> 
     return pair
 
 
-def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) -> CokernelPair:
+def cokernel_vectors(coeffs: CoefficientSet) -> CokernelPair:
     """Unit cokernel vectors of the truncated d_+ and d_- and their pairings.
 
     The smallest singular value should vanish to rounding (the cokernel is
@@ -166,8 +166,7 @@ def cokernel_vectors(coeffs: CoefficientSet, grid: FourierGrid | None = None) ->
     degeneracy gap the cokernel is not numerically one-dimensional and a
     :class:`DegenerateCokernelError` is raised.
     """
-    grid = coeffs.grid if grid is None else grid
-    return _cokernel_pair(coeffs, grid, _DPlusLU(coeffs, grid))
+    return _cokernel_pair(coeffs, _DPlusLU(coeffs))
 
 
 def quasimomentum_from_pairings(pair: CokernelPair, ip_plus: complex,
@@ -194,7 +193,6 @@ class GaugeSolution:
     residual_plus: float
     residual_minus: float
     condition_plus: float
-    condition_minus: float
     realness_flag: bool
     pair: CokernelPair
 
@@ -210,9 +208,8 @@ class GaugeSolution:
         }
 
 
-def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicScalarField,
-                grid: FourierGrid | None = None,
-                pair: CokernelPair | None = None) -> GaugeSolution:
+def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField,
+                c2: PeriodicScalarField) -> GaugeSolution:
     """Solve the gauge equations for band-limited data (C_1, C_2).
 
     Forms C_pm = C_1 +- i C_2, determines the unique shift k + i kappa from the
@@ -220,11 +217,12 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     subspace and recombines Phi = (Phi_+ + Phi_-)/2,
     Psi = i(Phi_+ - Phi_-)/2.  Real-valued data forces kappa = 0 and real
     (Phi, Psi); the ``realness_flag`` records whether that symmetry held.
+    ``condition_plus`` is s[0]/s[-2] of i d_+(0), which is also the
+    condition number of the - equation (both use the same factors).
     """
-    grid = coeffs.grid if grid is None else grid
-    fac = _DPlusLU(coeffs, grid)
-    if pair is None:
-        pair = _cokernel_pair(coeffs, grid, fac)
+    grid = coeffs.grid
+    fac = _DPlusLU(coeffs)
+    pair = _cokernel_pair(coeffs, fac)
 
     c_p = PeriodicScalarField(grid, c1.coeffs + 1j * c2.coeffs)
     c_m = PeriodicScalarField(grid, c1.coeffs - 1j * c2.coeffs)
@@ -246,7 +244,7 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
     x = fac.lu.solve(np.column_stack([rhs_p, np.conj(rhs_m[::-1])]))
     x[grid.mode_index(0, 0)] = 0.0
     phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
-    a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-", grid).matrix
+    a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-").matrix
     res_p = float(np.linalg.norm(fac.a @ phi_p - rhs_p))
     res_m = float(np.linalg.norm(a_m @ phi_m - rhs_m))
 
@@ -260,8 +258,7 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField, c2: PeriodicSca
                     and phi.is_real(tol) and psi.is_real(tol))
     return GaugeSolution(phi=phi, psi=psi, k=k, kappa=kappa,
                          residual_plus=res_p, residual_minus=res_m,
-                         condition_plus=cond, condition_minus=cond,
-                         realness_flag=realness, pair=pair)
+                         condition_plus=cond, realness_flag=realness, pair=pair)
 
 
 @dataclass(frozen=True)
@@ -283,9 +280,7 @@ class CanonicalGauge:
         return self.kappa_tilde[0] > 0.0 and self.kappa_tilde[0] >= self.c3_star - 1e-12
 
 
-def solve_canonical_gauge(coeffs: CoefficientSet,
-                          grid: FourierGrid | None = None,
-                          pair: CokernelPair | None = None) -> CanonicalGauge:
+def solve_canonical_gauge(coeffs: CoefficientSet) -> CanonicalGauge:
     """Canonical gauge: the solve with C_1 = iH, C_2 = 0.
 
     For purely imaginary data the solver returns purely imaginary gauge
@@ -294,10 +289,10 @@ def solve_canonical_gauge(coeffs: CoefficientSet,
 
         i d_+(Phi - i Psi) = -(G + iF) kt_1 - iH(kt_2 + i).
     """
-    grid = coeffs.grid if grid is None else grid
+    grid = coeffs.grid
     c1 = PeriodicScalarField(grid, 1j * coeffs.h.coeffs)
     c2 = PeriodicScalarField.constant(grid, 0.0)
-    sol = solve_gauge(coeffs, c1, c2, grid, pair=pair)
+    sol = solve_gauge(coeffs, c1, c2)
 
     k_leak = max(abs(sol.k[0]), abs(sol.k[1]))
     if k_leak > 1e-6:
@@ -322,21 +317,19 @@ def solve_canonical_gauge(coeffs: CoefficientSet,
     )
 
 
-def cokernel_formula_fit(coeffs: CoefficientSet, canonical: CanonicalGauge,
-                         pair: CokernelPair | None = None) -> tuple[complex, float]:
+def cokernel_formula_fit(coeffs: CoefficientSet,
+                         canonical: CanonicalGauge) -> tuple[complex, float]:
     """Best scalar c in chi_+ ~ c (GH)^{-1}(d_+ Psi - H) and the L^2 misfit."""
-    grid = coeffs.grid
-    if pair is None:
-        pair = canonical.pair
-    dpsi = assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+", grid).apply(canonical.psi.coeffs)
+    grid, chi = coeffs.grid, canonical.pair.chi_plus
+    dpsi = assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+").apply(canonical.psi.coeffs)
     dpsi_field = PeriodicScalarField(grid, dpsi)
     denom = coeffs.g.samples().real * coeffs.h.samples().real
     u = sample_to_fourier((dpsi_field.samples() - coeffs.h.samples()) / denom, grid).coeffs
     nu2 = float(np.vdot(u, u).real)
     if nu2 == 0.0:
-        return 0.0 + 0.0j, float(np.linalg.norm(pair.chi_plus))
-    c6 = complex(np.vdot(u, pair.chi_plus)) / nu2
-    residual = float(np.linalg.norm(pair.chi_plus - c6 * u))
+        return 0.0 + 0.0j, float(np.linalg.norm(chi))
+    c6 = complex(np.vdot(u, chi)) / nu2
+    residual = float(np.linalg.norm(chi - c6 * u))
     return c6, residual
 
 
@@ -359,13 +352,13 @@ class ZMapDiagnostics:
     periodicity_error: float
 
 
-def z_map_diagnostics(canonical: CanonicalGauge, resolution: int = 12,
-                      shifts=((1, 0), (0, 1), (1, 1))) -> ZMapDiagnostics:
+def z_map_diagnostics(canonical: CanonicalGauge, resolution: int = 12) -> ZMapDiagnostics:
     """Injectivity and periodicity evidence for the map Z.
 
     ``min_separation_ratio`` is min |Z(x) - Z(y)| / |x - y| over a sample grid
     (positivity evidences injectivity); ``periodicity_error`` is the worst
-    violation of Z(x + n) = Z(x) + kt_1 n_1 + (kt_2 + i) n_2.
+    violation of Z(x + n) = Z(x) + kt_1 n_1 + (kt_2 + i) n_2 over the
+    lattice shifts n = (1, 0), (0, 1), (1, 1).
     """
     t = np.arange(resolution) / resolution
     xx, yy = np.meshgrid(t, t, indexing="ij")
@@ -379,7 +372,7 @@ def z_map_diagnostics(canonical: CanonicalGauge, resolution: int = 12,
 
     kt1, kt2 = canonical.kappa_tilde
     per = 0.0
-    for n1, n2 in shifts:
+    for n1, n2 in ((1, 0), (0, 1), (1, 1)):
         shifted = z_map(canonical, pts + np.array([n1, n2], dtype=float))
         per = max(per, float(np.max(np.abs(shifted - z - (kt1 * n1 + (kt2 + 1j) * n2)))))
     return ZMapDiagnostics(min_separation_ratio=ratio, periodicity_error=per)

@@ -292,16 +292,6 @@ class TruncatedOperator:
         self._require_compatible(other)
         return TruncatedOperator(self.grid, self.n_components, self.factors + other.factors)
 
-    # -- export ----------------------------------------------------------------
-
-    def export_records(self, tol: float = 0.0):
-        """(row, col, re, im) records of the dense matrix for cross-implementation diffs."""
-        mat = self.matrix
-        rows, cols = np.nonzero(np.abs(mat) > tol)
-        for r, c in zip(rows, cols):
-            v = mat[r, c]
-            yield int(r), int(c), float(v.real), float(v.imag)
-
 
 def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     """Truncated multiplication by a scalar field."""
@@ -330,13 +320,11 @@ def lanczos_lambda_max(matvec, dim: int) -> float:
 # Fiber assembly
 # ---------------------------------------------------------------------------
 
-def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, grid: FourierGrid,
-               i: int, j: int) -> list:
+def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, i: int, j: int) -> list:
     """The two terms of dpm(z) + i mu H, mapping spinor component j to i."""
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if grid != coeffs.grid:
-        raise GridMismatchError("grid does not match coefficient grid")
+    grid = coeffs.grid
     if not isinstance(z, ComplexQuasimomentum):
         z = ComplexQuasimomentum.real(z)
     s = 1.0 if sign == "+" else -1.0
@@ -346,26 +334,24 @@ def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, grid: FourierGri
     return [(i, j, first, d1), (i, j, coeffs.h, 1j * (mu + s * d2))]
 
 
-def assemble_dpm(coeffs: CoefficientSet, z, mu: float, sign: str,
-                 grid: FourierGrid | None = None) -> TruncatedOperator:
+def assemble_dpm(coeffs: CoefficientSet, z, mu: float, sign: str) -> TruncatedOperator:
     """Galerkin matrix of (G +- iF)(z_1 + 2 pi N_1) +- iH(z_2 + 2 pi N_2) + i mu H.
 
     ``sign`` selects the upper or lower combination.  mu = 0 recovers the plain
     fiber dpm(z); the multiplier fields act by convolution.
     """
-    grid = coeffs.grid if grid is None else grid
-    return TruncatedOperator(grid, 1, [_dpm_terms(coeffs, z, mu, sign, grid, 0, 0)])
+    return TruncatedOperator(coeffs.grid, 1, [_dpm_terms(coeffs, z, mu, sign, 0, 0)])
 
 
-def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z,
-                   grid: FourierGrid | None = None, mu: float = 0.0) -> TruncatedOperator:
+def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z, *,
+                   mu: float = 0.0) -> TruncatedOperator:
     """The two-component fiber [[0, d_-(z)], [d_+(z), 0]] + potential blocks.
 
     The potential adds [[V0+V3, V1-iV2], [V1+iV2, V0-V3]] as convolution
     blocks; ``mu`` adds the i mu H shift to both off-diagonal entries.
     """
-    grid = coeffs.grid if grid is None else grid
-    terms = _dpm_terms(coeffs, z, mu, "-", grid, 0, 1) + _dpm_terms(coeffs, z, mu, "+", grid, 1, 0)
+    grid = coeffs.grid
+    terms = _dpm_terms(coeffs, z, mu, "-", 0, 1) + _dpm_terms(coeffs, z, mu, "+", 1, 0)
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")

@@ -39,7 +39,7 @@ def test_c01_free_fiber_band_oracle():
     t0 = time.perf_counter()
     grid = grid_for(8)
     cs = d.CoefficientSet.constant(grid)
-    table = d.band_structure(cs, None, d.brillouin_grid(8, 8), grid)
+    table = d.band_structure(cs, None, d.brillouin_grid(8, 8))
     worst = 0.0
     for kp, vals in zip(table.kpoints, table.values):
         mags = np.hypot(kp[0] + 2 * np.pi * grid.n1, kp[1] + 2 * np.pi * grid.n2)
@@ -223,9 +223,8 @@ def test_c10_thomas_sweep():
     cs = d.CoefficientSet.constant(grid)
     sweep = d.SweepConfig(mu_grid=tuple(np.linspace(0.0, 20 * np.pi, 81)),
                           k2_grid=(0.0,))
-    free = d.sigma_min_sweep(cs, None, sweep, grid)
-    massive = d.sigma_min_sweep(cs, d.MatrixPotential.diagonal(grid, v3=0.3),
-                                sweep, grid)
+    free = d.sigma_min_sweep(cs, None, sweep)
+    massive = d.sigma_min_sweep(cs, d.MatrixPotential.diagonal(grid, v3=0.3), sweep)
     elapsed = time.perf_counter() - t0
     ok = (float(np.min(free.min_per_mu)) >= np.pi - 1e-10
           and float(np.min(massive.min_per_mu)) > 0.0

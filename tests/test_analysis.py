@@ -32,6 +32,18 @@ def free_oracle(grid, k):
     return np.sort(np.concatenate([mags, -mags]))
 
 
+def test_stale_positional_grid_is_a_type_error():
+    # The grid comes from the coefficients; the defaulted parameters after it
+    # are keyword-only, so an old positional grid cannot land in one of them.
+    grid, cs = constant_set(2)
+    with pytest.raises(TypeError):
+        d.band_structure(cs, None, [[0.0, 0.0]], grid)
+    with pytest.raises(TypeError):
+        d.sigma_min_sweep(cs, None, d.SweepConfig(), grid)
+    with pytest.raises(TypeError):
+        d.assemble_dirac(cs, None, (0.0, 0.0), grid)
+
+
 class TestBandStructure:
     def test_free_oracle(self):
         grid, cs = constant_set()
@@ -334,6 +346,20 @@ class TestPotentialProfile:
         # f_W(N)/sqrt(N) is nonincreasing over the whole count grid.
         ratio = prof.f_values / np.sqrt(prof.count_grid)
         assert np.all(np.diff(ratio) <= 1e-12)
+
+    def test_tables_are_the_methods_on_their_grids(self):
+        grid = d.FourierGrid(4, 18)
+        rng = np.random.default_rng(7)
+        w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False)
+        prof = d.potential_profile(w, b_grid=[0.0, 0.3, 0.9, 5.0])
+        for table, method, points in ((prof.wb_norms, prof.wb_norm, prof.b_grid),
+                                      (prof.f_values, prof.f_of, prof.count_grid),
+                                      (prof.h_values, prof.h_of, prof.t_grid),
+                                      (prof.htilde_values, prof.htilde_of, prof.b_grid)):
+            assert np.array_equal(table, [method(x) for x in points])
+        # ||W_b|| = 0 above the largest sample: htilde falls back to the smallest eps.
+        assert prof.wb_norms[-1] == 0.0
+        assert prof.htilde_values[-1] == prof.eps_grid.min()
 
     def test_empty_grid_rejected(self):
         grid = d.FourierGrid(3, 16)
@@ -639,16 +665,6 @@ class TestCrossTerm:
         weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
         rep = d.cross_term_check(w, weights, 2.2 * np.pi, 4.4 * np.pi, n_trials=5, seed=3)
         assert rep.max_ratio == 0.0
-
-    def test_support_violation(self):
-        grid = d.FourierGrid(9, 38)
-        rng = np.random.default_rng(15)
-        w = d.random_trig_field(grid, rng, 2, 1.0)
-        weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
-        bad = np.ones(grid.n_modes, dtype=complex)
-        with pytest.raises(d.SupportViolationError):
-            d.cross_term_check(w, weights, 2.2 * np.pi, 4.4 * np.pi,
-                               pairs=[(bad, bad, "+")])
 
     def test_radius_preconditions(self):
         grid = d.FourierGrid(9, 38)

@@ -216,6 +216,9 @@ EDGE_CONFIGS = [
     ("bands", "bands.k_grid=[[1]]"),
     ("sweep", "sweep.direction=[1]"),
     ("sweep", "sweep.k_prime=[1]"),
+    ("profile", "profile.count_grid=[-4]"),
+    ("profile", "profile.t_grid=[0.0]"),
+    ("profile", "profile.eps_grid=[-1.0]"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -225,7 +228,8 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "wiener.resolution=0", "profile.eps_grid=[]", "potential=5",
                    "potential.V1.modes=5", "potential.V1.file=nope.json", "verify.counting=5",
                    "verify.cross_term=[1]", "bands.k_grid=[[1]]", "sweep.direction=[1]",
-                   "sweep.k_prime=[1]"}
+                   "sweep.k_prime=[1]", "profile.count_grid=[-4]", "profile.t_grid=[0.0]",
+                   "profile.eps_grid=[-1.0]"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -240,6 +244,14 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+def test_profile_grid_entry_is_named_with_its_index(tmp_path, capsys):
+    code = run("profile", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", "profile.eps_grid=[0.5, -1.0]")
+    assert code == 2
+    assert "profile.eps_grid[1]: expected a finite number > 0" in capsys.readouterr().err
 
 
 def _shrunk(path):

@@ -259,14 +259,6 @@ class TestApplication:
         with pytest.raises(d.GridMismatchError):
             op.apply(np.zeros(op.dim + 1, dtype=complex))
 
-    def test_export_records_rebuild(self):
-        grid, cs, _ = random_set(m=2, seed=9)
-        op = d.assemble_dpm(cs, (0.5, 0.2), 0.0, "-")
-        rebuilt = np.zeros((op.dim, op.dim), dtype=complex)
-        for r, c, re, im in op.export_records():
-            rebuilt[r, c] = re + 1j * im
-        assert np.max(np.abs(rebuilt - op.matrix)) < 1e-15
-
 
 class TestIdentities:
     def test_conjugation_symmetry(self):
