@@ -196,10 +196,12 @@ class TestSingleFactorization:
         assert sol.residual_minus > 1e-4
         assert sol.residual_minus == pytest.approx(measured, rel=1e-8)
 
-    def test_no_svd_and_one_splu_per_solve(self, monkeypatch):
+    # Complex data (kappa != 0, non-real Phi, Psi) must reuse the same factors.
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_no_svd_and_one_splu_per_solve(self, monkeypatch, complex_data):
         grid, cs, rng = random_set(m=4, seed=23)
-        c1 = d.random_trig_field(grid, rng, 2, 0.5)
-        c2 = d.random_trig_field(grid, rng, 2, 0.5)
+        c1 = d.random_trig_field(grid, rng, 2, 0.5, real=not complex_data)
+        c2 = d.random_trig_field(grid, rng, 2, 0.5, real=not complex_data)
         calls = []
         splu = scipy.sparse.linalg.splu
 
