@@ -559,6 +559,25 @@ def power_moments(w: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
     return sums.ravel()[:n_max] / z.size
 
 
+def quadrature_resolution(psi: PeriodicScalarField, n_max: int,
+                          resolution=None) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (S1, S2) quadrature grid of :func:`wiener_average` and its requirement.
+
+    ``resolution`` is None (use the requirement), one sample count for both
+    axes, or a pair; one below the requirement of :func:`required_resolution`
+    raises :class:`ResolutionError`.
+    """
+    req = required_resolution(psi, n_max)
+    if resolution is None:
+        return req, req
+    s1, s2 = (int(resolution), int(resolution)) if np.isscalar(resolution) \
+        else (int(resolution[0]), int(resolution[1]))
+    if s1 < req[0] or s2 < req[1]:
+        raise ResolutionError(
+            f"resolution {(s1, s2)} below the phase-resolution requirement {req}")
+    return (s1, s2), req
+
+
 def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
                    theta: float, resolution=None) -> WienerReport:
     """Quadrature of I_nu = int_K e^{+- 2 pi i nu (Psi - x2)} W and its averages.
@@ -566,19 +585,11 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
     The quadrature grid must resolve the phase 2 pi nu (Psi - x2) with at least
     8 samples per oscillation at nu = n_max along each axis; the automatic
     resolution guarantees this, an explicit one is checked and rejected with a
-    :class:`ResolutionError` when too coarse.
+    :class:`ResolutionError` when too coarse (see :func:`quadrature_resolution`).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    req = required_resolution(psi, n_max)
-    if resolution is None:
-        s1, s2 = req
-    else:
-        s1, s2 = (int(resolution), int(resolution)) if np.isscalar(resolution) \
-            else (int(resolution[0]), int(resolution[1]))
-        if s1 < req[0] or s2 < req[1]:
-            raise ResolutionError(
-                f"resolution {(s1, s2)} below the phase-resolution requirement {req}")
+    (s1, s2), req = quadrature_resolution(psi, n_max, resolution)
 
     psis = psi.samples((s1, s2))
     ws = w.samples((s1, s2))

@@ -2,9 +2,10 @@
 
 Runs are described by a single YAML document (nested key/value sections); a
 few scalar flags (--seed, --out, --workers, --set key=value) override config
-scalars.  Every run writes a JSON manifest carrying the full configuration,
-every tolerance and default in force, content hashes of the inputs and
-outputs, and the seed policy, plus CSV data files and a plain-text summary.
+scalars.  ``SCHEMA`` lists every key a run reads with its kind and default.
+Every run writes a JSON manifest carrying the full configuration, every
+tolerance and default in force, content hashes of the inputs and outputs, and
+the seed policy, plus CSV data files and a plain-text summary.
 Identical config + seed produces byte-identical outputs.
 
 Exit codes: 0 success, 2 config schema violation, 3 numerical failure
@@ -18,6 +19,7 @@ import csv
 import hashlib
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .analysis import (
     cross_term_check,
     estimate_c1_c2,
     potential_profile,
-    required_resolution,
+    quadrature_resolution,
     sigma_min_sweep,
     sweep_direction_from_gauge,
     verify_coercivity,
@@ -93,89 +95,117 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, types, where: str = "config"):
-    if key not in cfg:
-        raise ConfigSchemaError(f"{where}: missing required key {key!r}")
-    if not isinstance(cfg[key], types):
-        raise ConfigSchemaError(
-            f"{where}.{key}: expected {types}, got {type(cfg[key]).__name__}")
-    return cfg[key]
-
-
-# What a run reads, by dotted key, and what each kind of value must be.  A
-# mapping is listed before the keys inside it.  Field specs are checked where
-# they are built (build_field).
-EXPECTED = {"num": "a finite number", "count": "a finite number >= 1",
-            "pos": "a finite number > 0", "pair": "a list of two numbers",
-            "nums": "a non-empty list of numbers",
-            "counts": "a non-empty list of numbers >= 1",
+# What a run reads, by dotted key: (kind, default, words the key accepts in
+# place of its kind...).  A mapping is listed before the keys inside it.  A key
+# whose default is REQUIRED must be set, except that a section named after a
+# subcommand is required only by that subcommand.  Field specs are checked where
+# they are built (RunContext.field); a "word" key takes only its words.
+REQUIRED = object()
+SCHEMA = {
+    "grid": ("map", REQUIRED), "grid.truncation_radius": ("int", REQUIRED),
+    "grid.sample_resolution": ("int", REQUIRED),
+    "coefficients": ("map", REQUIRED), "coefficients.p": ("real", REQUIRED),
+    "coefficients.q": ("real", REQUIRED), "coefficients.f_bound": ("real", REQUIRED),
+    "coefficients.G": ("field", REQUIRED), "coefficients.H": ("field", REQUIRED),
+    "coefficients.F": ("field", REQUIRED),
+    "seed": ("int", 0), "workers": ("int", DEFAULTS["workers"]),
+    "output_dir": ("str", None),  # None: runs/<subcommand>
+    "potential": ("map", None, None),  # null: no potential
+    "potential.V0": ("field", {"constant": 0.0}),
+    "potential.V1": ("field", {"constant": 0.0}), "potential.V2": ("field", {"constant": 0.0}),
+    "potential.V3": ("field", {"constant": 0.0}),
+    "bands": ("map", REQUIRED), "bands.k_grid": ("kgrid", {"n1": 8, "n2": 8}),
+    "bands.n_bands": ("count", "all", "all", None),
+    "bands.mode": ("word", "auto", "auto", "eigen", "singular"),
+    "sweep": ("map", REQUIRED), "sweep.k1": ("num", np.pi),
+    "sweep.direction": ("pair", [1.0, 0.0], "canonical"),
+    "sweep.k_prime": ("pair", [0.0, 0.0]), "sweep.kappa_prime": ("pair", [0.0, 0.0]),
+    "sweep.mu_grid": ("line", {"start": 0.0, "stop": 20 * np.pi, "count": 41}),
+    "sweep.k2_grid": ("line", [0.0]),
+    "verify": ("map", None), "verify.trials": ("count", 50), "verify.mu": ("num", 16 * np.pi),
+    "verify.a": ("num", 4 * np.pi), "verify.k2": ("num", 0.0), "verify.counting": ("map", None),
+    "verify.counting.k2_values": ("nums", [0.0, 0.3, np.pi]),
+    "verify.counting.mu_values": ("nums", [0.0, 4 * np.pi, 12 * np.pi]),
+    "verify.counting.a_values": ("nums", [2 * np.pi, 4 * np.pi, 8 * np.pi]),
+    "verify.cross_term": ("map", None), "verify.cross_term.a": ("num", 2.5 * np.pi),
+    "verify.cross_term.a_prime": ("num", 4.5 * np.pi),
+    "wiener": ("map", REQUIRED), "wiener.w": ("field", REQUIRED),
+    "wiener.psi": ("field", {"constant": 0.0}, "canonical"), "wiener.n_max": ("count", 256),
+    "wiener.theta": ("num", 0.5), "wiener.resolution": ("res", None),  # None: as required
+    "profile": ("map", REQUIRED), "profile.w": ("field", REQUIRED),  # grids None: the library's
+    "profile.eps_grid": ("posnums", None), "profile.b_grid": ("nums", None),
+    "profile.count_grid": ("counts", None), "profile.t_grid": ("posnums", None),
+}
+EXPECTED = {"num": "a finite number", "real": "a finite number, not text",
+            "count": "a whole number >= 1", "pos": "a finite number > 0",
+            "int": "an integer", "str": "a string", "map": "a mapping",
+            "pair": "a list of two numbers", "nums": "a non-empty list of numbers",
+            "counts": "a non-empty list of whole numbers >= 1",
             "posnums": "a non-empty list of numbers > 0",
             "line": "{start, stop, count} or a non-empty list of numbers",
             "kgrid": "{n1, n2} or a non-empty list of [k1, k2] pairs",
-            "map": "a mapping", "res": "a positive integer or a pair of them"}
-SCHEMA = {
-    "potential": "map", "bands": "map", "sweep": "map", "verify": "map", "wiener": "map",
-    "profile": "map", "bands.k_grid": "kgrid", "bands.n_bands": "count", "sweep.k1": "num",
-    "sweep.direction": "pair", "sweep.k_prime": "pair", "sweep.kappa_prime": "pair",
-    "sweep.mu_grid": "line", "sweep.k2_grid": "line", "verify.trials": "count",
-    "verify.mu": "num", "verify.a": "num", "verify.k2": "num", "verify.counting": "map",
-    "verify.counting.k2_values": "nums", "verify.counting.mu_values": "nums",
-    "verify.counting.a_values": "nums", "verify.cross_term": "map",
-    "verify.cross_term.a": "num", "verify.cross_term.a_prime": "num",
-    "wiener.n_max": "count", "wiener.theta": "num", "wiener.resolution": "res",
-    "profile.eps_grid": "posnums", "profile.b_grid": "nums", "profile.count_grid": "counts",
-    "profile.t_grid": "posnums",
-}
-# Words a key accepts in place of its kind.
-KEYWORDS = {"potential": (None,), "bands.n_bands": ("all", None),
-            "sweep.direction": ("canonical",)}
+            "res": "a positive integer or a pair of them"}
+_TYPES = {"int": int, "str": str, "map": dict}
 _PARTS = {"line": {"start": "num", "stop": "num", "count": "count"},
           "kgrid": {"n1": "count", "n2": "count"}}
 _ENTRY = {"pair": "num", "nums": "num", "counts": "count", "posnums": "pos",
           "line": "num", "kgrid": "pair"}
+_ABSENT = object()
 
 
 def check_schema(cfg: dict, subcommand: str) -> None:
-    """Reject a malformed config, naming the dotted key, before any work starts."""
-    grid = _require(cfg, "grid", dict)
-    _require(grid, "truncation_radius", int, "grid")
-    _require(grid, "sample_resolution", int, "grid")
-    coeff = _require(cfg, "coefficients", dict)
-    for key in ("p", "q", "f_bound"):
-        _check_value(_require(coeff, key, (int, float), "coefficients"),
-                     f"coefficients.{key}", "num")
-    for key, kind in (("seed", int), ("workers", int), ("output_dir", str)):
-        if key in cfg and not isinstance(cfg[key], kind):
-            raise ConfigSchemaError(f"config.{key}: expected {kind.__name__}, got {cfg[key]!r}")
-    if subcommand in ("bands", "sweep", "wiener", "profile"):
-        _require(cfg, subcommand, dict)
-    for dotted, kind in SCHEMA.items():
-        node = cfg
-        for part in dotted.split("."):
-            if part not in node:
-                break
-            node = node[part]
-        else:
-            if node not in KEYWORDS.get(dotted, ()):
-                _check_value(node, dotted, kind)
+    """Reject a malformed config, naming the dotted key, before any work starts.
+
+    Every key present is checked, whichever subcommand reads it.
+    """
+    others = set(SUBCOMMANDS) - {subcommand}
+    for key, (kind, default, *words) in SCHEMA.items():
+        if kind == "field":
+            continue
+        value = _lookup(cfg, key)
+        if value is not _ABSENT:
+            _check_value(value, key, kind, words)
+        elif default is REQUIRED and key not in others:
+            raise _missing(key)
 
 
-def _check_value(value, key: str, kind: str) -> None:
+def _lookup(cfg: dict, key: str):
+    node = cfg
+    for part in key.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return _ABSENT
+        node = node[part]
+    return node
+
+
+def _missing(key: str) -> ConfigSchemaError:
+    section, _, name = key.rpartition(".")
+    return ConfigSchemaError(f"{section or 'config'}: missing required key {name!r}")
+
+
+def _check_value(value, key: str, kind: str, words=()) -> None:
+    if value in words:
+        return
     if kind in _PARTS and isinstance(value, dict):
         for part, sub in _PARTS[kind].items():
             _check_value(value.get(part), f"{key}.{part}", sub)
         return
-    if kind in ("num", "count", "pos"):
+    if kind == "real" and not isinstance(value, (int, float)):
+        ok = False  # no text, unlike "num"
+    elif kind in ("num", "real", "count", "pos"):
         try:
             x = float(value)  # YAML reads ``nan`` as text; bools are numbers
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             x = np.nan
-        ok = np.isfinite(x) and {"num": True, "count": x >= 1, "pos": x > 0}[kind]
-    elif kind == "map":
-        ok = isinstance(value, dict)
+        ok = np.isfinite(x) and {"num": True, "real": True, "pos": x > 0,
+                                 "count": x >= 1 and x.is_integer()}[kind]
+    elif kind in _TYPES:
+        ok = isinstance(value, _TYPES[kind])
     elif kind == "res":
         pair = value if isinstance(value, list) and len(value) == 2 else [value]
         ok = all(type(r) is int and r >= 1 for r in pair)
+    elif kind == "word":
+        raise ConfigSchemaError(f"{key}: expected one of {', '.join(words)}, got {value!r}")
     else:
         ok = isinstance(value, list) and (len(value) == 2 if kind == "pair" else len(value) > 0)
         for i, entry in enumerate(value if ok else ()):
@@ -184,84 +214,122 @@ def _check_value(value, key: str, kind: str) -> None:
         raise ConfigSchemaError(f"{key}: expected {EXPECTED[kind]}, got {value!r}")
 
 
+def _convert(value, kind: str):
+    """A checked config value as a run uses it."""
+    if kind in _PARTS and isinstance(value, dict):
+        parts = [_convert(value[part], sub) for part, sub in _PARTS[kind].items()]
+        return np.linspace(*parts) if kind == "line" else brillouin_grid(*parts)
+    if kind in ("nums", "counts", "posnums", "line", "kgrid"):
+        return np.asarray(value, dtype=float)
+    if kind == "pair":
+        return tuple(float(v) for v in value)
+    if kind in ("count", "int"):
+        return int(value)
+    return float(value) if kind in ("num", "real", "pos") else value
+
+
 # ---------------------------------------------------------------------------
-# Builders
+# The run context
 # ---------------------------------------------------------------------------
 
 class RunContext:
-    """Resolved configuration plus bookkeeping for the manifest."""
+    """A checked configuration, the inputs built from it, and the manifest they feed."""
 
-    def __init__(self, cfg: dict, config_path: Path, out_dir: Path,
-                 seed: int, workers: int):
+    def __init__(self, cfg: dict, subcommand: str, config_path, out=None):
+        check_schema(cfg, subcommand)
         self.cfg = cfg
-        self.config_path = config_path
-        self.out_dir = out_dir
-        self.seed = seed
-        self.workers = workers
-        self.input_hashes = {str(config_path): _sha256_file(config_path)}
-        self.results = {}
+        self.subcommand = subcommand
+        self.config_path = Path(config_path)
+        self.seed = self["seed"]
+        self.workers = self["workers"]
+        out = out or self["output_dir"]
+        self.out_dir = Path(f"runs/{subcommand}" if out is None else out)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.input_hashes = {str(self.config_path): _sha256_file(self.config_path)}
+
+    def __getitem__(self, key: str):
+        """The value at a dotted SCHEMA key, converted by its kind, or the key's default."""
+        kind, default, *words = SCHEMA[key]
+        value = _lookup(self.cfg, key)
+        if value is _ABSENT:
+            if default is REQUIRED:
+                raise _missing(key)
+            value = default
+        return value if value is None or value in words else _convert(value, kind)
 
     def rng(self, offset: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + offset)
 
+    @cached_property
+    def grid(self) -> FourierGrid:
+        try:
+            return FourierGrid(self["grid.truncation_radius"], self["grid.sample_resolution"])
+        except ValueError as exc:
+            raise InadmissibleParameterError(str(exc)) from exc
+
+    @cached_property
+    def coefficients(self) -> CoefficientSet:
+        # validate lists bound violations where other runs stop at them.
+        return CoefficientSet(*(self.field(f"coefficients.{name}") for name in "GHF"),
+                              p=self["coefficients.p"], q=self["coefficients.q"],
+                              f_bound=self["coefficients.f_bound"],
+                              strict=self.subcommand != "validate")
+
+    @cached_property
+    def potential(self) -> MatrixPotential:
+        return MatrixPotential(*(self.field(f"potential.{name}")
+                                 for name in ("V0", "V1", "V2", "V3")))
+
+    def field(self, key: str) -> PeriodicScalarField:
+        """The field the spec at ``key`` describes; a malformed spec fails naming its key."""
+        grid, spec = self.grid, self[key]
+        part = next((p for p in ("constant", "modes", "file") if p in spec), None) \
+            if isinstance(spec, dict) else None
+        if part is None:
+            raise ConfigSchemaError(f"{key}: expected a mapping with one of constant/modes/file, "
+                                    f"got {spec!r}")
+        key, value = f"{key}.{part}", spec[part]
+        try:
+            if part == "constant":
+                phi = PeriodicScalarField.constant(grid, complex(value))
+            elif part == "modes":
+                phi = field_from_records(grid, value)
+            else:
+                path = (self.config_path.parent / value).resolve()
+                self.input_hashes[str(path)] = _sha256_file(path)
+                phi = load_field(path, grid)
+        except KeyError as exc:  # a mode outside the truncation window
+            raise InadmissibleParameterError(f"{key}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError, OSError) as exc:
+            raise ConfigSchemaError(f"{key}: {exc}") from exc
+        if not np.all(np.isfinite(phi.coeffs)):
+            raise ConfigSchemaError(f"{key}: non-finite coefficients in {value!r}")
+        return phi
+
+    def finish(self, outputs: list[Path], results: dict, lines: list[str]) -> None:
+        """Write manifest.json (config, contract, hashes, ``results``) and summary.txt."""
+        manifest = {
+            "schema": SCHEMA_VERSIONS["manifest"],
+            "tool_version": __version__,
+            "subcommand": self.subcommand,
+            "config": _jsonable(self.cfg),
+            "seed": self.seed,
+            "seed_policy": "numpy.default_rng(seed [+ fixed per-suite offsets])",
+            "workers": self.workers,
+            "tolerances": _jsonable(TOLERANCES),
+            "defaults": _jsonable(DEFAULTS),
+            "input_hashes": self.input_hashes,
+            "outputs": {p.name: _sha256_file(p) for p in outputs},
+            "results": _jsonable({self.subcommand: results}),
+        }
+        (self.out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        body = [f"dirac2d {self.subcommand}", f"seed: {self.seed}"] + lines
+        (self.out_dir / "summary.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
+
 
 def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def build_grid(cfg: dict) -> FourierGrid:
-    g = cfg["grid"]
-    try:
-        return FourierGrid(int(g["truncation_radius"]), int(g["sample_resolution"]))
-    except ValueError as exc:
-        raise InadmissibleParameterError(str(exc)) from exc
-
-
-def build_field(spec, grid: FourierGrid, ctx: RunContext, key: str) -> PeriodicScalarField:
-    """The field a config spec describes; a malformed spec fails naming its dotted key."""
-    part = next((p for p in ("constant", "modes", "file") if p in spec), None) \
-        if isinstance(spec, dict) else None
-    if part is None:
-        raise ConfigSchemaError(f"{key}: expected a mapping with one of constant/modes/file, "
-                                f"got {spec!r}")
-    key, value = f"{key}.{part}", spec[part]
-    try:
-        if part == "constant":
-            phi = PeriodicScalarField.constant(grid, complex(value))
-        elif part == "modes":
-            phi = field_from_records(grid, value)
-        else:
-            path = (ctx.config_path.parent / value).resolve()
-            ctx.input_hashes[str(path)] = _sha256_file(path)
-            phi = load_field(path, grid)
-    except KeyError as exc:  # a mode outside the truncation window
-        raise InadmissibleParameterError(f"{key}: {exc}") from exc
-    except (TypeError, ValueError, OverflowError, OSError) as exc:
-        raise ConfigSchemaError(f"{key}: {exc}") from exc
-    if not np.all(np.isfinite(phi.coeffs)):
-        raise ConfigSchemaError(f"{key}: non-finite coefficients in {value!r}")
-    return phi
-
-
-def build_coefficients(cfg: dict, grid: FourierGrid, ctx: RunContext,
-                       strict: bool = True) -> CoefficientSet:
-    c = cfg["coefficients"]
-    g, h, f = (build_field(c.get(name), grid, ctx, f"coefficients.{name}") for name in "GHF")
-    return CoefficientSet(g=g, h=h, f=f, p=float(c["p"]), q=float(c["q"]),
-                          f_bound=float(c["f_bound"]), strict=strict)
-
-
-def build_potential(cfg: dict, grid: FourierGrid, ctx: RunContext) -> MatrixPotential:
-    pot = cfg.get("potential") or {}
-    return MatrixPotential(*(build_field(pot.get(name, {"constant": 0.0}), grid, ctx,
-                                         f"potential.{name}")
-                             for name in ("V0", "V1", "V2", "V3")))
-
-
-def _linear_grid(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-    return np.asarray([float(v) for v in spec])
 
 
 # ---------------------------------------------------------------------------
@@ -303,63 +371,25 @@ def _jsonable(obj):
     return obj
 
 
-def write_manifest(ctx: RunContext, subcommand: str, outputs: list[Path]) -> Path:
-    manifest = {
-        "schema": SCHEMA_VERSIONS["manifest"],
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": _jsonable(ctx.cfg),
-        "seed": ctx.seed,
-        "seed_policy": "numpy.default_rng(seed [+ fixed per-suite offsets])",
-        "workers": ctx.workers,
-        "tolerances": _jsonable(TOLERANCES),
-        "defaults": _jsonable(DEFAULTS),
-        "input_hashes": ctx.input_hashes,
-        "outputs": {p.name: _sha256_file(p) for p in outputs},
-        "results": _jsonable(ctx.results),
-    }
-    path = ctx.out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def write_summary(ctx: RunContext, subcommand: str, lines: list[str]) -> Path:
-    path = ctx.out_dir / "summary.txt"
-    body = [f"dirac2d {subcommand}", f"seed: {ctx.seed}"] + lines
-    path.write_text("\n".join(body) + "\n", encoding="utf-8")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def run_bands(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid, ctx)
-    potential = build_potential(cfg, grid, ctx)
-    section = cfg.get("bands", {})
-    kspec = section.get("k_grid", {"n1": 8, "n2": 8})
-    if isinstance(kspec, dict):
-        kgrid = brillouin_grid(int(kspec["n1"]), int(kspec["n2"]))
-    else:
-        kgrid = np.asarray(kspec, dtype=float)
-    n_bands = section.get("n_bands", "all")
-    n_bands = None if n_bands in ("all", None) else int(n_bands)
-    table = band_structure(coeffs, potential, kgrid, n_bands=n_bands,
-                           mode=section.get("mode", "auto"), workers=ctx.workers)
+    coeffs, potential, kgrid = ctx.coefficients, ctx.potential, ctx["bands.k_grid"]
+    n_bands = ctx["bands.n_bands"]
+    table = band_structure(coeffs, potential, kgrid,
+                           n_bands=None if n_bands == "all" else n_bands,
+                           mode=ctx["bands.mode"], workers=ctx.workers)
 
     out = ctx.out_dir / "bands.csv"
     write_csv(out, ["k1", "k2", "index", "value"], table.rows())
-    ctx.results["bands"] = {
+    ctx.finish([out], {
         "mode": table.mode,
         "hermitian_defect": table.hermitian_defect,
         "n_fibers": len(table.kpoints),
         "values_per_fiber": int(table.values.shape[1]),
-    }
-    write_manifest(ctx, "bands", [out])
-    write_summary(ctx, "bands", [
+    }, [
         f"fibers: {len(table.kpoints)}; values per fiber: {table.values.shape[1]}",
         f"spectral mode: {table.mode} (hermitian defect {table.hermitian_defect:.3e})",
         "outputs: bands.csv",
@@ -368,23 +398,19 @@ def run_bands(ctx: RunContext) -> int:
 
 
 def run_sweep(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid, ctx)
-    potential = build_potential(cfg, grid, ctx)
-    section = cfg.get("sweep", {})
-    k1 = float(section.get("k1", np.pi))
+    coeffs, potential = ctx.coefficients, ctx.potential
+    k1 = ctx["sweep.k1"]
     if abs(k1 - np.pi) > 1e-12:
         raise InadmissibleParameterError("the sweep line is pinned to k1 = pi")
-    direction = section.get("direction", [1.0, 0.0])
+    direction = ctx["sweep.direction"]
     if direction == "canonical":
         direction = sweep_direction_from_gauge(solve_canonical_gauge(coeffs))
     sweep = SweepConfig(
-        direction=tuple(float(v) for v in direction),
-        k_prime=tuple(float(v) for v in section.get("k_prime", (0.0, 0.0))),
-        kappa_prime=tuple(float(v) for v in section.get("kappa_prime", (0.0, 0.0))),
-        mu_grid=tuple(_linear_grid(section.get("mu_grid", {"start": 0.0, "stop": 20 * np.pi, "count": 41}))),
-        k2_grid=tuple(_linear_grid(section.get("k2_grid", [0.0]))),
+        direction=direction,
+        k_prime=ctx["sweep.k_prime"],
+        kappa_prime=ctx["sweep.kappa_prime"],
+        mu_grid=tuple(ctx["sweep.mu_grid"]),
+        k2_grid=tuple(ctx["sweep.k2_grid"]),
         k1=k1,
     )
     report = sigma_min_sweep(coeffs, potential, sweep, workers=ctx.workers)
@@ -394,15 +420,13 @@ def run_sweep(ctx: RunContext) -> int:
     out_min = ctx.out_dir / "sweep_min.csv"
     write_csv(out_min, ["mu_tilde", "sigma_min_over_k2"],
               zip(sweep.mu_grid, report.min_per_mu))
-    ctx.results["sweep"] = {
+    ctx.finish([out, out_min], {
         "direction": list(sweep.direction),
         "min_sigma": float(report.min_per_mu.min()),
         "flagged_points": int(np.count_nonzero(report.flagged)),
         "floor_log_intercept": report.floor_log_intercept,
         "floor_log_slope": report.floor_log_slope,
-    }
-    write_manifest(ctx, "sweep", [out, out_min])
-    write_summary(ctx, "sweep", [
+    }, [
         f"direction e = {sweep.direction}",
         f"global sigma_min = {report.min_per_mu.min():.6e}",
         f"flagged points (< {TOLERANCES['sigma_min_flag']:g}): {int(np.count_nonzero(report.flagged))}",
@@ -412,10 +436,7 @@ def run_sweep(ctx: RunContext) -> int:
 
 
 def run_gauge(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid, ctx)
-    canonical = solve_canonical_gauge(coeffs)
+    canonical = solve_canonical_gauge(ctx.coefficients)
 
     out_phi = ctx.out_dir / "gauge_phi.csv"
     out_psi = ctx.out_dir / "gauge_psi.csv"
@@ -434,7 +455,7 @@ def run_gauge(ctx: RunContext) -> int:
     }
     out_json.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-    ctx.results["gauge"] = {
+    ctx.finish([out_phi, out_psi, out_json], {
         "kappa_tilde": list(canonical.kappa_tilde),
         "c0_lower": canonical.c0_lower,
         "c3_star": canonical.c3_star,
@@ -442,9 +463,7 @@ def run_gauge(ctx: RunContext) -> int:
         "bound_chain_ok": canonical.bound_chain_ok,
         "max_abs_phi": float(np.max(np.abs(canonical.phi.coeffs))),
         "max_abs_psi": float(np.max(np.abs(canonical.psi.coeffs))),
-    }
-    write_manifest(ctx, "gauge", [out_phi, out_psi, out_json])
-    write_summary(ctx, "gauge", [
+    }, [
         f"kappa_tilde = ({canonical.kappa_tilde[0]!r}, {canonical.kappa_tilde[1]!r})",
         f"c0_lower = {canonical.c0_lower!r}; c3_star = {canonical.c3_star!r}",
         f"solver residual = {canonical.residual:.3e}",
@@ -455,27 +474,21 @@ def run_gauge(ctx: RunContext) -> int:
 
 
 def run_wiener(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid, ctx)
-    section = cfg["wiener"]
-    w = build_field(section.get("w"), grid, ctx, "wiener.w")
-    psi_spec = section.get("psi", {"constant": 0.0})
-    if psi_spec == "canonical":
+    coeffs = ctx.coefficients
+    w = ctx.field("wiener.w")
+    if ctx["wiener.psi"] == "canonical":
         psi = solve_canonical_gauge(coeffs).psi
     else:
-        psi = build_field(psi_spec, grid, ctx, "wiener.psi")
-    n_max = int(section.get("n_max", 256))
-    theta = float(section.get("theta", 0.5))
-    resolution = section.get("resolution")
-    report = wiener_average(w, psi, n_max, theta, resolution=resolution)
+        psi = ctx.field("wiener.psi")
+    n_max, theta = ctx["wiener.n_max"], ctx["wiener.theta"]
+    report = wiener_average(w, psi, n_max, theta, resolution=ctx["wiener.resolution"])
 
     out = ctx.out_dir / "wiener.csv"
     write_csv(out, ["nu", "abs_i_plus", "abs_i_minus"],
               zip(range(1, n_max + 1), report.abs_i_plus, report.abs_i_minus))
     out_avg = ctx.out_dir / "wiener_avg.csv"
     write_csv(out_avg, ["n", "average"], zip(range(1, n_max + 1), report.averages))
-    ctx.results["wiener"] = {
+    ctx.finish([out, out_avg], {
         "n_max": n_max,
         "theta": theta,
         "resolution": list(report.resolution),
@@ -483,9 +496,7 @@ def run_wiener(ctx: RunContext) -> int:
         "density_plus": report.density_plus,
         "density_minus": report.density_minus,
         "final_average": float(report.averages[-1]),
-    }
-    write_manifest(ctx, "wiener", [out, out_avg])
-    write_summary(ctx, "wiener", [
+    }, [
         f"n_max = {n_max}, theta = {theta!r}",
         f"quadrature resolution {report.resolution} (required {report.required_resolution})",
         f"A({n_max}) = {report.averages[-1]:.6e}",
@@ -496,15 +507,10 @@ def run_wiener(ctx: RunContext) -> int:
 
 
 def run_profile(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    section = cfg["profile"]
-    w = build_field(section.get("w"), grid, ctx, "profile.w")
-    kwargs = {}
-    for name in ("eps_grid", "b_grid", "count_grid", "t_grid"):
-        if name in section:
-            kwargs[name] = np.asarray(section[name], dtype=float)
-    profile = potential_profile(w, **kwargs)
+    profile = potential_profile(ctx.field("profile.w"), eps_grid=ctx["profile.eps_grid"],
+                                b_grid=ctx["profile.b_grid"],
+                                count_grid=ctx["profile.count_grid"],
+                                t_grid=ctx["profile.t_grid"])
 
     outs = []
     for fname, header, rows in (
@@ -517,9 +523,7 @@ def run_profile(ctx: RunContext) -> int:
         path = ctx.out_dir / fname
         write_csv(path, header, rows)
         outs.append(path)
-    ctx.results["profile"] = {"c1_w": profile.c1_w, "c7": profile.c7}
-    write_manifest(ctx, "profile", outs)
-    write_summary(ctx, "profile", [
+    ctx.finish(outs, {"c1_w": profile.c1_w, "c7": profile.c7}, [
         f"C_1(W) = {profile.c1_w!r}; c7 = {profile.c7!r}",
         "outputs: " + " ".join(p.name for p in outs),
     ])
@@ -527,23 +531,14 @@ def run_profile(ctx: RunContext) -> int:
 
 
 def _verify_checks(ctx: RunContext) -> list[dict]:
-    cfg = ctx.cfg
-    grid = build_grid(cfg)
-    coeffs = build_coefficients(cfg, grid, ctx)
-    potential = build_potential(cfg, grid, ctx)
-    section = cfg.get("verify", {})
-    trials = int(section.get("trials", 50))
-    mu = float(section.get("mu", 16 * np.pi))
-    a = float(section.get("a", 4 * np.pi))
-    k2 = float(section.get("k2", 0.0))
+    grid, coeffs, potential = ctx.grid, ctx.coefficients, ctx.potential
+    trials, mu, a, k2 = (ctx[f"verify.{name}"] for name in ("trials", "mu", "a", "k2"))
     k = (float(np.pi), k2)
     checks = []
 
     # Counting bound over the configured (k2, mu, a) grid.
-    counting = section.get("counting", {})
-    k2_values = counting.get("k2_values", [0.0, 0.3, float(np.pi)])
-    mu_values = counting.get("mu_values", [0.0, 4 * np.pi, 12 * np.pi])
-    a_values = counting.get("a_values", [2 * np.pi, 4 * np.pi, 8 * np.pi])
+    k2_values, mu_values, a_values = (ctx[f"verify.counting.{name}_values"]
+                                      for name in ("k2", "mu", "a"))
     violations = 0
     for k2v in k2_values:
         for muv in mu_values:
@@ -574,11 +569,9 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
                    "value": [c1, c2], "bound": None, "passed": 0 < c1 <= c2})
 
     # Cross-term bound.
-    ct_cfg = section.get("cross_term", {})
-    ct_a = float(ct_cfg.get("a", 2.5 * np.pi))
-    ct_ap = float(ct_cfg.get("a_prime", 4.5 * np.pi))
     w_field = potential.v1 if potential.v1.l2_norm() > 0 else coeffs.g
-    ct = cross_term_check(w_field, weights, ct_a, ct_ap, n_trials=trials,
+    ct = cross_term_check(w_field, weights, ctx["verify.cross_term.a"],
+                          ctx["verify.cross_term.a_prime"], n_trials=trials,
                           seed=ctx.seed + 2)
     checks.append({"suite": "cross_term", "name": "|(phi, W psi)| / bound <= 1",
                    "value": ct.max_ratio, "bound": 1.0, "passed": ct.max_ratio <= 1.0})
@@ -613,60 +606,42 @@ def run_verify(ctx: RunContext) -> int:
     write_csv(out, ["suite", "name", "value", "bound", "passed"],
               [[c["suite"], c["name"], json.dumps(_jsonable(c["value"])),
                 json.dumps(_jsonable(c["bound"])), c["passed"]] for c in checks])
-    ctx.results["verify"] = {c["suite"]: bool(c["passed"]) for c in checks}
-    write_manifest(ctx, "verify", [out])
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['suite']}: {c['name']}"
              for c in checks]
     all_ok = all(c["passed"] for c in checks)
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    write_summary(ctx, "verify", lines)
+    ctx.finish([out], {c["suite"]: bool(c["passed"]) for c in checks}, lines)
     for line in lines:
         print(line)
     return 0 if all_ok else 3
 
 
 def run_validate(ctx: RunContext) -> int:
-    cfg = ctx.cfg
     diagnostics = []
-    m, s = cfg["grid"]["truncation_radius"], cfg["grid"]["sample_resolution"]
-    if m < 1:
-        diagnostics.append({"name": "grid", "message": "truncation_radius must be >= 1"})
-    if s < 2 * (2 * m + 1):
-        diagnostics.append({"name": "grid_adequacy",
-                            "message": f"sample_resolution {s} < 2(2M+1) = {2 * (2 * m + 1)}"})
-    grid = None
-    if not diagnostics:
-        grid = FourierGrid(m, s)
-        coeffs = build_coefficients(cfg, grid, ctx, strict=False)
-        for v in coeffs.gamma_violations()[:10]:
+    try:
+        ctx.grid
+    except InadmissibleParameterError as exc:
+        diagnostics.append({"name": "grid_adequacy", "message": str(exc)})
+    else:
+        for v in ctx.coefficients.gamma_violations()[:10]:
             diagnostics.append({
                 "name": f"gamma_bound_{v['field']}",
                 "message": (f"{v['field']}({v['x'][0]:.6f}, {v['x'][1]:.6f}) = "
                             f"{v['value']:.6f} violates its bound by {v['excess']:.3e}"),
             })
-        wiener_cfg = cfg.get("wiener")
-        if wiener_cfg and "resolution" in wiener_cfg:
-            psi_spec = wiener_cfg.get("psi", {"constant": 0.0})
-            if psi_spec != "canonical":
-                psi = build_field(psi_spec, grid, ctx, "wiener.psi")
-                req = required_resolution(psi, int(wiener_cfg.get("n_max", 256)))
-                res = wiener_cfg["resolution"]
-                res = (res, res) if np.isscalar(res) else tuple(res)
-                if res[0] < req[0] or res[1] < req[1]:
-                    diagnostics.append({
-                        "name": "phase_resolution",
-                        "message": f"wiener resolution {res} below requirement {req}",
-                    })
+        resolution = ctx["wiener.resolution"]
+        if resolution is not None and ctx["wiener.psi"] != "canonical":
+            try:
+                quadrature_resolution(ctx.field("wiener.psi"), ctx["wiener.n_max"], resolution)
+            except ResolutionError as exc:
+                diagnostics.append({"name": "phase_resolution", "message": str(exc)})
 
     path = ctx.out_dir / "diagnostics.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(diagnostics), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    ctx.results["validate"] = {"diagnostics": len(diagnostics)}
-    write_manifest(ctx, "validate", [path])
     lines = ([d["name"] + ": " + d["message"] for d in diagnostics]
              or ["no diagnostics; configuration is well-formed"])
-    write_summary(ctx, "validate", lines)
+    ctx.finish([path], {"diagnostics": len(diagnostics)}, lines)
     for line in lines:
         print(line)
     return 0
@@ -714,12 +689,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.workers is not None:
             cfg["workers"] = args.workers
-        check_schema(cfg, args.subcommand)
-        out_dir = Path(args.out or cfg.get("output_dir", "runs/" + args.subcommand))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(cfg, Path(args.config), out_dir,
-                         seed=int(cfg.get("seed", 0)),
-                         workers=int(cfg.get("workers", DEFAULTS["workers"])))
+        ctx = RunContext(cfg, args.subcommand, args.config, args.out)
         return _RUNNERS[args.subcommand](ctx)
     except ConfigSchemaError as exc:
         print(f"config schema error: {exc}", file=sys.stderr)

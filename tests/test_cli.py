@@ -17,6 +17,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import dirac2d as d
+from dirac2d import cli
 from dirac2d.cli import SCHEMA, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -219,6 +220,14 @@ EDGE_CONFIGS = [
     ("profile", "profile.count_grid=[-4]"),
     ("profile", "profile.t_grid=[0.0]"),
     ("profile", "profile.eps_grid=[-1.0]"),
+    ("bands", "bands.mode=bogus"),
+    ("profile", "profile.count_grid=[2.5, 3.9]"),
+    ("bands", "bands.n_bands=2.7"),
+    ("wiener", "wiener.n_max=8.5"),
+    ("verify", "verify.trials=2.5"),
+    ("bands", 'coefficients.p="2.0"'),
+    ("bands", "grid.truncation_radius=3.0"),
+    pytest.param("sweep", f"sweep.k2_grid=[{10**400}]", id="sweep-int-past-float-range"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -229,7 +238,10 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "potential.V1.modes=5", "potential.V1.file=nope.json", "verify.counting=5",
                    "verify.cross_term=[1]", "bands.k_grid=[[1]]", "sweep.direction=[1]",
                    "sweep.k_prime=[1]", "profile.count_grid=[-4]", "profile.t_grid=[0.0]",
-                   "profile.eps_grid=[-1.0]"}
+                   "profile.eps_grid=[-1.0]", "bands.mode=bogus", "profile.count_grid=[2.5, 3.9]",
+                   "bands.n_bands=2.7", "wiener.n_max=8.5", "verify.trials=2.5",
+                   'coefficients.p="2.0"', "grid.truncation_radius=3.0",
+                   f"sweep.k2_grid=[{10**400}]"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -247,11 +259,29 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
 
 
 def test_profile_grid_entry_is_named_with_its_index(tmp_path, capsys):
-    code = run("profile", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
-               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
-               "--set", "profile.eps_grid=[0.5, -1.0]")
-    assert code == 2
-    assert "profile.eps_grid[1]: expected a finite number > 0" in capsys.readouterr().err
+    for assignment, message in (("profile.eps_grid=[0.5, -1.0]",
+                                 "profile.eps_grid[1]: expected a finite number > 0"),
+                                ("profile.count_grid=[4, 2.5]",
+                                 "profile.count_grid[1]: expected a whole number >= 1")):
+        code = run("profile", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+                   "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+                   "--set", assignment)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution,too_coarse", [("64", True), ("[4096, 64]", True),
+                                                   ("[64, 128]", False)])
+def test_validate_and_wiener_agree_on_the_phase_resolution(tmp_path, capsys, resolution,
+                                                           too_coarse):
+    # psi = 0 at n_max = 16 requires (16, 128) samples: 8 per oscillation along x2.
+    args = ("--config", VARIABLE_CONFIG, "--set", "grid.truncation_radius=3",
+            "--set", "grid.sample_resolution=14", "--set", "wiener.psi={constant: 0.0}",
+            "--set", "wiener.n_max=16", "--set", f"wiener.resolution={resolution}")
+    assert run("validate", "--out", tmp_path / "v", *args) == 0
+    names = [v["name"] for v in json.loads((tmp_path / "v" / "diagnostics.json").read_text())]
+    assert ("phase_resolution" in names) == too_coarse
+    assert run("wiener", "--out", tmp_path / "w", *args) == (4 if too_coarse else 0)
 
 
 def _shrunk(path):
@@ -269,8 +299,8 @@ def _shrunk(path):
 SHIPPED = {p.stem: _shrunk(p) for p in sorted((REPO / "configs").glob("*.yaml"))}
 DELETE = object()
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
-                    st.sampled_from([0.5, -2.0, 1e-300, float("nan"), float("inf"),
-                                     "", "all", "canonical", "x"]))
+                    st.sampled_from([0.5, -2.0, 1e-300, float("nan"), float("inf"), 2.5,
+                                     "", "all", "canonical", "eigen", "singular", "x"]))
 VALUES = st.one_of(SCALARS, st.just(DELETE), st.lists(SCALARS, max_size=3),
                    st.lists(st.lists(SCALARS, max_size=4), min_size=1, max_size=2),
                    st.dictionaries(st.sampled_from(["constant", "modes", "file", "start",
@@ -295,7 +325,7 @@ def _at(cfg, path):
 # Keys a mutation may add to any mapping: every key the shipped configs or the
 # schema use, so optional keys absent from the shipped files are reached too.
 KEYS = sorted({p[-1] for c in SHIPPED.values() for p in _paths(c) if isinstance(p[-1], str)}
-              | {part for key in SCHEMA for part in key.split(".")} | {"V0", "V1", "V2"})
+              | {part for key in SCHEMA for part in key.split(".")})
 
 
 @st.composite
@@ -329,6 +359,28 @@ def test_fuzzed_configs_keep_the_exit_code_contract(sub, cfg):
             code = run(sub, "--config", path, "--out", Path(tmp) / "o")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+def test_runs_read_only_schema_keys(tmp_path, monkeypatch):
+    read = set()
+    getitem = cli.RunContext.__getitem__
+
+    def recording(ctx, key):
+        read.add(key)
+        return getitem(ctx, key)
+
+    monkeypatch.setattr(cli.RunContext, "__getitem__", recording)
+    for name, cfg in SHIPPED.items():
+        for sub in cli.SUBCOMMANDS:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(dict(cfg, output_dir=str(tmp_path / name / sub))))
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(sub, "--config", path)
+    # Sections are checked as mappings but read only through their keys.
+    assert read == {key for key, (kind, *_) in SCHEMA.items() if kind != "map"}
+    ctx = cli.RunContext(SHIPPED["constant_free"], "bands", path, tmp_path / "o")
+    with pytest.raises(KeyError):
+        ctx["bands.colour"]
 
 
 def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
