@@ -16,10 +16,12 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
-Fiber solves use the fiber's structure: a dense sweep point is factored once
-and sigma_min read off by Lanczos on the LU solves of (A^H A)^{-1}; a
-Hermitian fiber without diagonal blocks gets its bands as +-sigma of one
-off-diagonal block (see :func:`smallest_singular_value`, :func:`band_structure`).
+Fiber solves use the fiber's structure: a sweep point is factored once
+(sparse LU when its fields are band-limited, dense LU otherwise) and
+sigma_min read off by Lanczos on the LU solves of (A^H A)^{-1}, as are the
+equivalence constants; a Hermitian fiber without diagonal blocks gets its
+bands as +-sigma of one off-diagonal block (see
+:func:`smallest_singular_value`, :func:`band_structure`).
 
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
@@ -43,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
@@ -97,26 +100,55 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 def smallest_singular_value(op: TruncatedOperator) -> float:
     """sigma_min of a truncated operator, one algorithm at every size.
 
-    The dense matrix A is factored once (LU with partial pivoting) and
-    seeded Lanczos (:func:`~dirac2d.operators.lanczos_lambda_max`) finds
-    lambda_max of (A^H A)^{-1} through two triangular solves per step, so
-    sigma_min = lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is singular in floating point and
-    gives 0.0; if Lanczos does not converge the value comes from a full SVD.
-    The dense matrix takes 16 dim^2 bytes (about 1 GiB at M = 32), the LU
-    factors as much again.
+    A is factored once (``splu`` of the CSR form when the operator is
+    band-limited, else ``zgetrf``) and seeded Lanczos
+    (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
+    (A^H A)^{-1} through two triangular solves per step, so sigma_min =
+    lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
+    singular in floating point and gives 0.0; if Lanczos does not converge
+    the value comes from a full SVD.  Only full-support fibers take the
+    dense route, which holds 16 dim^2 bytes (about 1 GiB at M = 32) and as
+    much again in LU factors.
     """
-    a = op.matrix
-    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
-    if info > 0:
-        return 0.0
-    solve = scipy.linalg.lapack.zgetrs
+    # inverse_gram(v) = (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+    if op.band_limited:
+        try:
+            lu = scipy.sparse.linalg.splu(op.sparse.tocsc())
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            return 0.0
+
+        def inverse_gram(v):
+            return lu.solve(lu.solve(v, trans="H"))
+    else:
+        lu, piv, info = scipy.linalg.lapack.zgetrf(op.matrix)
+        if info > 0:
+            return 0.0
+        solve = scipy.linalg.lapack.zgetrs
+
+        def inverse_gram(v):
+            return solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0]
     try:
-        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
-        lam = lanczos_lambda_max(
-            lambda v: solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0], len(a))
+        lam = lanczos_lambda_max(inverse_gram, op.dim)
     except scipy.sparse.linalg.ArpackNoConvergence:
-        return float(scipy.linalg.svdvals(a)[-1])
+        return float(scipy.linalg.svdvals(op.matrix)[-1])
     return float(1.0 / np.sqrt(lam))
+
+
+def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of a single-factor operator: for a band-limited
+    one :func:`smallest_singular_value` and seeded Lanczos on A^H A, else (or
+    if Lanczos fails) one ``svdvals``."""
+    if op.band_limited:
+        a = op.sparse
+        adjoint = a.conj().T
+        try:
+            top = lanczos_lambda_max(lambda v: adjoint @ (a @ v), op.dim)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            pass
+        else:
+            return smallest_singular_value(op), float(np.sqrt(top))
+    s = scipy.linalg.svdvals(op.matrix)
+    return float(s[-1]), float(s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +195,10 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
 
     def one(k):
         op = assemble_dirac(coeffs, V, (k[0], k[1]))
-        a = op.matrix
-        defect = float(np.max(np.abs(a - a.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(a))))
+        # A band-limited fiber stays sparse until a block goes to LAPACK.
+        a = op.sparse if op.band_limited else op.matrix
+        defect = float(abs(a - a.conj().T).max())
+        scale = max(1.0, float(abs(a).max()))
         hermitian = defect <= TOLERANCES["hermitian"] * scale
         if mode == "eigen" and not hermitian:
             raise NonHermitianError(
@@ -176,16 +209,16 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
         if use_eigen and off_diagonal:
             # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
             # eigenvalues are +-sigma(B).
-            s = scipy.linalg.svdvals(0.5 * (a[n:, :n] + a[:n, n:].conj().T))
+            s = scipy.linalg.svdvals(0.5 * _dense(a[n:, :n] + a[:n, n:].conj().T))
             vals = np.concatenate([-s, s[::-1]])
         elif use_eigen:
-            vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+            vals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
         elif off_diagonal:
             # sigma([[0, B1], [B2, 0]]) = sigma(B1) u sigma(B2): two half-size SVDs.
-            vals = np.sort(np.concatenate([scipy.linalg.svdvals(a[:n, n:]),
-                                           scipy.linalg.svdvals(a[n:, :n])]))
+            vals = np.sort(np.concatenate([scipy.linalg.svdvals(_dense(a[:n, n:])),
+                                           scipy.linalg.svdvals(_dense(a[n:, :n]))]))
         else:
-            vals = np.sort(scipy.linalg.svdvals(a))
+            vals = np.sort(scipy.linalg.svdvals(op.matrix))
         if n_bands is not None:
             vals = _cut_bands(vals, n_bands)
         return vals, defect, use_eigen
@@ -197,6 +230,11 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
     return BandTable(kpoints=kgrid, values=values,
                      mode="eigen" if used_eigen else "singular",
                      hermitian_defect=defect)
+
+
+def _dense(block) -> np.ndarray:
+    """A block of a CSR or dense fiber as a dense array."""
+    return block.toarray() if scipy.sparse.issparse(block) else block
 
 
 def _cut_bands(vals: np.ndarray, n_bands: int) -> np.ndarray:
@@ -319,10 +357,13 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, f
         if np.min(w) <= TOLERANCES["weight_zero"]:
             raise SingularWeightError(
                 f"weight G{s}_N vanishes in the window at k={tuple(weights.k)}, mu={mu}")
-        a = assemble_dpm(coeffs, (k[0], k[1]), mu, s).matrix
-        svals = scipy.linalg.svdvals(a / w[None, :])
-        c1 = min(c1, float(svals[-1] ** 2))
-        c2 = max(c2, float(svals[0] ** 2))
+        # (dpm + i mu H) diag(1/w): the same terms with each symbol divided by w.
+        dpm = assemble_dpm(coeffs, (k[0], k[1]), mu, s)
+        weighted = TruncatedOperator(dpm.grid, 1, [[(i, j, field, diag / w)
+                                                    for i, j, field, diag in dpm.factors[0]]])
+        low, high = _singular_value_range(weighted)
+        c1 = min(c1, low**2)
+        c2 = max(c2, high**2)
     return c1, c2
 
 
@@ -591,10 +632,13 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
         raise ValueError("n_max must be >= 1")
     (s1, s2), req = quadrature_resolution(psi, n_max, resolution)
 
-    psis = psi.samples((s1, s2))
+    # e_plus = exp(2 pi i (Psi - x2)) is formed in the buffer of the Psi
+    # samples rather than in two more grid-sized arrays.
+    e_plus = psi.samples((s1, s2))
     ws = w.samples((s1, s2))
-    x2 = (np.arange(s2) / s2)[None, :]
-    e_plus = np.exp(2j * np.pi * (psis - x2))
+    e_plus -= (np.arange(s2) / s2)[None, :]
+    e_plus *= 2j * np.pi
+    np.exp(e_plus, out=e_plus)
 
     i_plus = power_moments(ws, e_plus, n_max)
     if w.is_real() and psi.is_real():

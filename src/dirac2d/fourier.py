@@ -28,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 from .defaults import DEFAULTS, SCHEMA_VERSIONS, TOLERANCES
 from .errors import GammaValidationError, GridMismatchError
@@ -157,6 +158,38 @@ class PeriodicScalarField:
         """Real part of the field as a function, (phi + conj(phi)) / 2."""
         return PeriodicScalarField(self.grid, 0.5 * (self.coeffs + np.conj(self.coeffs[::-1])))
 
+    @cached_property
+    def band_radius(self) -> int:
+        """The largest |N|_inf of a nonzero coefficient (0 for a constant field)."""
+        support = self.grid.mode_numbers[self.coeffs != 0]
+        return int(np.max(np.abs(support), initial=0))
+
+    @property
+    def band_limited(self) -> bool:
+        """True when 2b < M for band radius b: a convolution row then holds
+        (2b+1)^2 <= n_modes / 4 nonzeros, and sparse routes pay off."""
+        return 2 * self.band_radius < self.grid.truncation_radius
+
+    @cached_property
+    def convolution(self) -> scipy.sparse.csr_matrix:
+        """Galerkin matrix of multiplication by the field, C[N, N'] = W_{N-N'}, as CSR.
+
+        Built once from the nonzero coefficients: row N holds W_d at column
+        N - d for every nonzero W_d with N - d in the window, in ascending
+        column order.  Callers must not modify it.
+        """
+        g = self.grid
+        m, s = g.truncation_radius, g.side
+        # Descending offsets d give ascending columns N - d within a row.
+        nz = np.flatnonzero(self.coeffs)[::-1]
+        c1 = g.n1[:, None] - g.n1[nz]
+        c2 = g.n2[:, None] - g.n2[nz]
+        keep = (np.abs(c1) <= m) & (np.abs(c2) <= m)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+        data = np.broadcast_to(self.coeffs[nz], keep.shape)[keep]
+        return scipy.sparse.csr_matrix((data, ((c1 + m) * s + c2 + m)[keep], indptr),
+                                       shape=(g.n_modes, g.n_modes))
+
     def derivative(self, axis: int) -> "PeriodicScalarField":
         """Spectral partial derivative along axis 1 or 2 (symbol 2 pi i N_j)."""
         n = self.grid.n1 if axis == 1 else self.grid.n2
@@ -173,7 +206,10 @@ class PeriodicScalarField:
         s1, s2 = _resolve_resolution(self.grid, resolution)
         spec = np.zeros((s1, s2), dtype=np.complex128)
         spec[self.grid.n1 % s1, self.grid.n2 % s2] = self.coeffs
-        return np.fft.ifft2(spec) * (s1 * s2)
+        # Axis by axis, the order ifft2 uses (same bits), so that the input of
+        # each pass is freed before the next one: two grid arrays live, not three.
+        spec = np.fft.ifft(spec, axis=1)
+        return np.fft.ifft(spec, axis=0) * (s1 * s2)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate sum_N phi_N e^{2 pi i (N, x)} at arbitrary points (n, 2)."""
@@ -467,11 +503,20 @@ class CoefficientSet:
         return out
 
     def c_plus(self) -> PeriodicScalarField:
-        """The field G + iF."""
-        return PeriodicScalarField(self.grid, self.g.coeffs + 1j * self.f.coeffs)
+        """The field G + iF, the same object on every call (so its
+        convolution matrix is built once)."""
+        return self._c_plus
 
     def c_minus(self) -> PeriodicScalarField:
-        """The field G - iF."""
+        """The field G - iF, the same object on every call."""
+        return self._c_minus
+
+    @cached_property
+    def _c_plus(self) -> PeriodicScalarField:
+        return PeriodicScalarField(self.grid, self.g.coeffs + 1j * self.f.coeffs)
+
+    @cached_property
+    def _c_minus(self) -> PeriodicScalarField:
         return PeriodicScalarField(self.grid, self.g.coeffs - 1j * self.f.coeffs)
 
 

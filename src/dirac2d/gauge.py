@@ -27,7 +27,8 @@ Lanczos on A^H A the largest s[0], and sigma_min is |A^H chi_+|; no SVD is
 taken unless Lanczos fails to converge.  Real coefficients give
 i d_-(0) = R conj(A) R with R: N -> -N (the symmetry behind chi_- =
 conj(R chi_+)), so the same factors solve the - equation.  Both residuals are
-measured against the assembled matrices.
+measured against the CSR forms of i d_+(0) and i d_-(0); no dense matrix
+is formed unless Lanczos fails and ``svdvals`` takes over.
 
 The canonical variant feeds C_1 = iH, C_2 = 0, yielding real zero-mean
 (Phi, Psi) and a shift direction kappa_tilde with kappa_tilde_1 > 0; from it
@@ -90,9 +91,8 @@ class _DPlusLU:
     """A = i d_+(0) at zero quasimomentum and one sparse LU of A' (see above)."""
 
     def __init__(self, coeffs: CoefficientSet):
-        self.a = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+").matrix
-        n, c0 = len(self.a), coeffs.grid.mode_index(0, 0)
-        self.sparse = scipy.sparse.csc_matrix(self.a)
+        self.sparse = (1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+").sparse).tocsc()
+        n, c0 = self.sparse.shape[0], coeffs.grid.mode_index(0, 0)
         self.adjoint = self.sparse.conj().T
         rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -111,9 +111,9 @@ class _DPlusLU:
 
     def _lanczos_or_svdvals(self, matvec, power: float, index: int) -> float:
         try:
-            return lanczos_lambda_max(matvec, len(self.a)) ** power
+            return lanczos_lambda_max(matvec, self.sparse.shape[0]) ** power
         except scipy.sparse.linalg.ArpackNoConvergence:
-            return float(scipy.linalg.svdvals(self.a)[index])
+            return float(scipy.linalg.svdvals(self.sparse.toarray())[index])
 
     @cached_property
     def sigma_max(self) -> float:
@@ -244,8 +244,8 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField,
     x = fac.lu.solve(np.column_stack([rhs_p, np.conj(rhs_m[::-1])]))
     x[grid.mode_index(0, 0)] = 0.0
     phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
-    a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-").matrix
-    res_p = float(np.linalg.norm(fac.a @ phi_p - rhs_p))
+    a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-").sparse
+    res_p = float(np.linalg.norm(fac.sparse @ phi_p - rhs_p))
     res_m = float(np.linalg.norm(a_m @ phi_m - rhs_m))
 
     phi = PeriodicScalarField(grid, 0.5 * (phi_p + phi_m))

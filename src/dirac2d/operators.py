@@ -25,21 +25,34 @@ evaluation routes derive from those terms.  The column route builds any set
 of columns of the dense Galerkin matrix right to left: the last factor
 contributes only the needed columns of its convolution blocks (each read
 from one strided view of the field's coefficients), and every earlier
-factor is one dense product per (i, j) block; ``matrix`` is this route over
-every column, and ``restricted_operator_distance`` uses it on the probed
-columns only.  The matrix-free route applies each term by FFT (transform,
+factor is one dense product per (i, j) block or, when band-limited, one
+sparse product; ``matrix`` is this route over every column (or the CSR form
+below), and ``restricted_operator_distance`` uses it on the probed columns
+only.  The matrix-free route applies each term by FFT (transform,
 multiply, transform back), factor by factor.  The two routes share no
-arithmetic, so they cross-check each other.  The FFT route transforms a
-batch laid out batch-first, (B, S, S), with ``scipy.fft``.  Each term
-allocates and frees its own work array, so a batched apply holds one such
-array at a time; at M = 16 and B = 578 it is 38 MiB.  ``scipy.fft`` is
-imported on the first matrix-free apply rather than at import time, because
-runs that only use the column route never need it and would pay its import
-time and memory.
+arithmetic, so they cross-check each other.
+
+The sparse route serves band-limited fields (band radius b with 2b < M, so
+a convolution row holds (2b+1)^2 <= n_modes / 4 nonzeros).  Each field
+caches one CSR convolution matrix, and the coefficient set hands out the
+same G +- iF fields to every fiber.  A single-factor operator's CSR form
+(``sparse``) scales columns by each term's ``diag`` and sums the terms in
+builder order; a band-limited ``matrix`` is its ``toarray()``, bit for bit
+the column route, and the fiber solves and the gauge solve factor it by
+``splu``.  Full-support fields (gauge exponentials, sampled fields) keep the
+dense blocks and dense LU.
+
+The FFT route transforms a batch laid out batch-first, (B, S, S), with
+``scipy.fft``.  Each term allocates and frees its own work array, so a
+batched apply holds one such array at a time; at M = 16 and B = 578 it is
+38 MiB.  ``scipy.fft`` is imported on the first matrix-free apply rather
+than at import time, because runs that only use the column route never need
+it and would pay its import time and memory.
 
 A seeded Lanczos helper (:func:`lanczos_lambda_max`) serves every iterative
 eigenvalue the library takes of a Hermitian positive operator: the fiber
-sigma_min and the gauge solve's extreme singular values.
+sigma_min, the equivalence constants and the gauge solve's extreme singular
+values.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
@@ -178,6 +192,33 @@ def _blocks(factor):
         yield i, j, block
 
 
+def _band_limited(factor) -> bool:
+    """True when every field of the factor is band-limited (the sparse route)."""
+    return all(field.band_limited for _, _, field, _ in factor)
+
+
+def _factor_csr(factor, n: int, nc: int) -> scipy.sparse.csr_matrix:
+    """A factor as one CSR matrix on (C^nc tensor n modes).
+
+    Each term is its field's cached convolution matrix with the columns
+    scaled by ``diag``, placed in block (i, j).  The terms are summed in the
+    order the builder lists them, starting from an empty matrix, so every
+    entry is the column route's 0 + t1 + t2 + ... rounded the same way.
+    """
+    total = scipy.sparse.csr_matrix((nc * n, nc * n), dtype=np.complex128)
+    for i, j, field, diag in factor:
+        c = field.convolution
+        # np.multiply, not ``*``: numpy would reuse a large temporary right
+        # operand as the output and swap the operands, and its complex product
+        # rounds differently from the column route's coefficient * diag.
+        data = c.data if diag is None else np.multiply(c.data, diag[c.indices])
+        indptr = np.concatenate([np.zeros(i * n, dtype=c.indptr.dtype), c.indptr,
+                                 np.full((nc - 1 - i) * n, c.nnz, dtype=c.indptr.dtype)])
+        total = total + scipy.sparse.csr_matrix((data, c.indices + j * n, indptr),
+                                                shape=total.shape)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # The public operator type
 # ---------------------------------------------------------------------------
@@ -205,6 +246,7 @@ class TruncatedOperator:
         self.factors = tuple(tuple(factor) for factor in factors)
         self.meta = dict(meta or {})
         self._matrix = None
+        self._sparse = None
         self._samples = None
 
     @property
@@ -268,20 +310,40 @@ class TruncatedOperator:
         # (row component, column component) blocks of ``out`` that are not zero.
         live = {(i, j) for i, j, _, _ in self.factors[-1]}
         for factor in reversed(self.factors[:-1]):
-            nxt, reached = np.zeros_like(out), set()
-            for i, j, block in _blocks(factor):
-                for row, c in live:
-                    if row == j:
-                        nxt[rows[i], cols[c]] += block @ out[rows[j], cols[c]]
-                        reached.add((i, c))
-            out, live = nxt, reached
+            reached = {(i, c) for i, j, _, _ in factor for row, c in live if row == j}
+            if _band_limited(factor):
+                out = _factor_csr(factor, n, self.n_components) @ out
+            else:
+                nxt = np.zeros_like(out)
+                for i, j, block in _blocks(factor):
+                    for row, c in live:
+                        if row == j:
+                            nxt[rows[i], cols[c]] += block @ out[rows[j], cols[c]]
+                out = nxt
+            live = reached
         return out
 
     @property
+    def band_limited(self) -> bool:
+        """One factor whose fields are all band-limited: the sparse route applies."""
+        return len(self.factors) == 1 and _band_limited(self.factors[0])
+
+    @property
+    def sparse(self) -> scipy.sparse.csr_matrix:
+        """The Galerkin matrix of a single-factor operator as CSR (cached)."""
+        if len(self.factors) != 1:
+            raise ValueError("only a single-factor operator has a sparse form")
+        if self._sparse is None:
+            self._sparse = _factor_csr(self.factors[0], self.grid.n_modes, self.n_components)
+        return self._sparse
+
+    @property
     def matrix(self) -> np.ndarray:
-        """Dense Galerkin matrix: :meth:`columns` over every column (cached)."""
+        """Dense Galerkin matrix (cached): ``sparse.toarray()`` for a band-limited
+        operator, else :meth:`columns` over every column; the two agree bit for bit."""
         if self._matrix is None:
-            self._matrix = self.columns(np.arange(self.dim))
+            self._matrix = (self.sparse.toarray() if self.band_limited
+                            else self.columns(np.arange(self.dim)))
         return self._matrix
 
     def _require_compatible(self, other: "TruncatedOperator"):

@@ -308,6 +308,78 @@ class TestEquivalenceConstants:
             d.estimate_c1_c2(cs, (0.0, 0.0), 0.0)
 
 
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_sparse_route_matches_svdvals_oracle(self, monkeypatch, m):
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(80 + m)
+        cs = d.random_gamma_instance(grid, rng, degree=1 if m == 4 else 2)
+        calls = count_splu(monkeypatch)
+        for k, mu in (((np.pi, 0.3), 2 * np.pi), ((0.9, 0.4), 0.0), ((np.pi, 0.0), 16 * np.pi)):
+            c1, c2 = d.estimate_c1_c2(cs, k, mu)
+            weights = d.mode_weights(grid, k, mu)
+            ref = [scipy.linalg.svdvals(d.assemble_dpm(cs, k, mu, s).matrix / w[None, :])
+                   for s, w in (("+", weights.g_plus), ("-", weights.g_minus))]
+            assert c1 == pytest.approx(min(r[-1] ** 2 for r in ref), rel=1e-10)
+            assert c2 == pytest.approx(max(r[0] ** 2 for r in ref), rel=1e-10)
+        assert len(calls) == 6
+
+
+def count_splu(monkeypatch):
+    """Record the shape of every sparse LU taken."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return calls
+
+
+class TestSparseRoute:
+    @pytest.mark.parametrize("m", [3, 6, 12])
+    def test_sigma_min_matches_dense_lu_and_svdvals(self, monkeypatch, m):
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(90 + m)
+        mass = d.MatrixPotential.diagonal(grid, v3=0.3)
+        ops = [d.assemble_dirac(d.CoefficientSet.constant(grid), mass,
+                                d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))]
+        cs = d.random_gamma_instance(grid, rng, degree=1)
+        z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2),
+                                   (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1)))
+        ops += [d.assemble_dirac(cs, None, z), d.assemble_dirac(cs, mass, z)]
+        calls = count_splu(monkeypatch)
+        sparse = [d.smallest_singular_value(op) for op in ops]
+        assert all(op.band_limited for op in ops) and len(calls) == len(ops)
+        monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
+        dense = [d.smallest_singular_value(op) for op in ops]
+        assert len(calls) == len(ops)
+        for op, s, lu in zip(ops, sparse, dense):
+            ref = scipy.linalg.svdvals(op.matrix)[-1]
+            assert abs(s - lu) <= 1e-12 * lu
+            assert abs(s - ref) <= 1e-12 * ref
+
+    def test_full_support_field_never_reaches_splu(self, monkeypatch):
+        # G sampled on the grid: rounding leaves every coefficient nonzero.
+        grid = d.FourierGrid(6, 26)
+        x1, x2 = grid.sample_points()
+        g = d.sample_to_fourier(1.2 + 0.2 * np.cos(2 * np.pi * x1), grid)
+        cs = d.CoefficientSet(g=g, h=d.PeriodicScalarField.constant(grid, 1.0),
+                              f=d.PeriodicScalarField.constant(grid, 0.0),
+                              p=2.0, q=0.5, f_bound=1.0)
+        assert g.band_radius == 6 and not g.band_limited
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("a full-support fiber reached splu")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum((np.pi, 0.3), (2.0, 0.0)))
+        assert not op.band_limited
+        assert d.smallest_singular_value(op) == pytest.approx(
+            scipy.linalg.svdvals(op.matrix)[-1], rel=1e-12)
+        d.estimate_c1_c2(cs, (np.pi, 0.3), 2 * np.pi)
+        d.band_structure(cs, None, [[0.3, 0.2]])
+
+
 class TestPotentialProfile:
     def test_constant_closed_forms(self):
         grid = d.FourierGrid(3, 16)

@@ -224,6 +224,8 @@ EDGE_CONFIGS = [
     ("profile", "profile.count_grid=[2.5, 3.9]"),
     ("bands", "bands.n_bands=2.7"),
     ("wiener", "wiener.n_max=8.5"),
+    ("wiener", "wiener.n_max='8.5'"),
+    ("wiener", "wiener.n_max=[1"),
     ("verify", "verify.trials=2.5"),
     ("bands", 'coefficients.p="2.0"'),
     ("bands", "grid.truncation_radius=3.0"),
@@ -239,7 +241,8 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "verify.cross_term=[1]", "bands.k_grid=[[1]]", "sweep.direction=[1]",
                    "sweep.k_prime=[1]", "profile.count_grid=[-4]", "profile.t_grid=[0.0]",
                    "profile.eps_grid=[-1.0]", "bands.mode=bogus", "profile.count_grid=[2.5, 3.9]",
-                   "bands.n_bands=2.7", "wiener.n_max=8.5", "verify.trials=2.5",
+                   "bands.n_bands=2.7", "wiener.n_max=8.5", "wiener.n_max='8.5'",
+                   "wiener.n_max=[1", "verify.trials=2.5",
                    'coefficients.p="2.0"', "grid.truncation_radius=3.0",
                    f"sweep.k2_grid=[{10**400}]"}
 
@@ -256,6 +259,25 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+@pytest.mark.parametrize("n_max", ["'8.0'", "8.0", "'8'"])
+def test_whole_number_counts_run_in_any_spelling(tmp_path, capsys, n_max):
+    # Every value the schema check accepts as a count runs, text included.
+    code = run("wiener", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", f"wiener.n_max={n_max}")
+    assert code == 0 and capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "o" / "wiener.csv")
+    assert len(rows) == 8
+
+
+@pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_parse_the_same_under_both_loaders(config):
+    text = config.read_text(encoding="utf-8")
+    if yaml.__with_libyaml__:
+        assert cli.YAML_LOADER is yaml.CSafeLoader
+    assert cli.load_config(config) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_profile_grid_entry_is_named_with_its_index(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cokernel vectors, gauge solvers, the plane map, and level-set diagnostics."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +217,24 @@ class TestSingleFactorization:
         monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
         d.solve_gauge(cs, c1, c2)
         assert calls == [(grid.n_modes, grid.n_modes)]
+
+
+def test_m16_solve_stays_sparse_in_memory():
+    # The CSR forms of i d_+-(0) and their sparse LU take a few MiB; one dense
+    # 1089 x 1089 matrix alone would take 19 MiB.
+    grid, cs, rng = random_set(m=16, seed=24)
+    c1 = d.random_trig_field(grid, rng, 2, 0.5)
+    c2 = d.random_trig_field(grid, rng, 2, 0.5)
+    small_grid, small = constant_set(m=3)
+    zero = d.PeriodicScalarField.constant(small_grid, 0.0)
+    d.solve_gauge(small, zero, zero)  # first-call imports stay out of the trace
+    tracemalloc.start()
+    try:
+        d.solve_gauge(cs, c1, c2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def svd_reference(cs, c1, c2):

@@ -402,3 +402,64 @@ class TestColumnRoute:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def band_limited_fiber(m, seed, degree):
+    """A variable fiber plus a four-component potential, all of band radius ``degree``."""
+    grid = d.FourierGrid(m, 2 * (2 * m + 1))
+    rng = np.random.default_rng(seed)
+    cs = d.random_gamma_instance(grid, rng, degree=degree)
+    V = d.MatrixPotential(*(d.random_trig_field(grid, rng, degree, 0.5, zero_mean=False,
+                                                real=bool(i % 2)) for i in range(4)))
+    z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2), rng.uniform(-3, 3, 2))
+    return d.assemble_dirac(cs, V, z, mu=1.7)
+
+
+class TestSparseForm:
+    @pytest.mark.parametrize("m,degree", [(4, 1), (8, 2)])
+    def test_matrix_is_the_column_route_bit_for_bit(self, m, degree):
+        for seed in range(3):
+            op = band_limited_fiber(m, seed, degree)
+            assert op.band_limited and len(op.factors[0]) == 8
+            cols = op.columns(np.arange(op.dim))
+            assert np.array_equal(op.matrix, cols)
+            assert op.matrix.tobytes() == cols.tobytes()
+
+    def test_convolution_matches_the_strided_columns(self):
+        from dirac2d.operators import _convolution_matrix
+        grid = d.FourierGrid(5, 22)
+        rng = np.random.default_rng(51)
+        smooth = d.sample_to_fourier(np.exp(np.cos(2 * np.pi * grid.sample_points()[0])), grid)
+        for field, radius in ((d.random_trig_field(grid, rng, 2, 1.0, real=False), 2),
+                              (d.PeriodicScalarField.constant(grid, 0.7), 0),
+                              (d.PeriodicScalarField.constant(grid, 0.0), 0),
+                              (smooth, 5)):
+            assert field.band_radius == radius
+            assert field.band_limited == (2 * radius < 5)
+            csr = field.convolution
+            assert csr.has_canonical_format and csr.nnz == np.count_nonzero(csr.data)
+            assert np.array_equal(csr.toarray(), _convolution_matrix(field, slice(None)))
+
+    def test_coefficient_fields_are_built_once(self):
+        _, cs, _ = random_set(m=6, seed=52)
+        assert cs.c_plus() is cs.c_plus() and cs.c_minus() is cs.c_minus()
+        a = d.assemble_dirac(cs, None, (0.1, 0.2))
+        b = d.assemble_dirac(cs, None, (0.3, 0.4))
+        assert [t[2] for t in a.factors[0]] == [t[2] for t in b.factors[0]]
+        assert all(ta[2].convolution is tb[2].convolution
+                   for ta, tb in zip(a.factors[0], b.factors[0]))
+
+    def test_only_single_band_limited_factors_are_band_limited(self):
+        lhs, rhs = conjugated_pair(6, seed=53)
+        assert rhs.band_limited and not lhs.band_limited
+        with pytest.raises(ValueError):
+            _ = lhs.sparse
+
+    def test_sparse_middle_factor_matches_the_dense_blocks(self, monkeypatch):
+        lhs, _ = conjugated_pair(8, seed=54)
+        assert [d.operators._band_limited(f) for f in lhs.factors] == [False, True, False]
+        idx = np.sort(np.random.default_rng(55).permutation(lhs.dim)[:60])
+        sparse = lhs.columns(idx)
+        monkeypatch.setattr(d.operators, "_band_limited", lambda factor: False)
+        dense = lhs.columns(idx)
+        assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
