@@ -105,10 +105,10 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
     lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
-    singular in floating point and gives 0.0; if Lanczos does not converge
-    the value comes from a full SVD.  Only full-support fibers take the
-    dense route, which holds 16 dim^2 bytes (about 1 GiB at M = 32) and as
-    much again in LU factors.
+    singular in floating point and gives 0.0; if ARPACK fails (no convergence
+    or any other error) the value comes from a full SVD.  Only full-support
+    fibers take the dense route, which holds 16 dim^2 bytes (about 1 GiB at
+    M = 32) and as much again in LU factors.
     """
     # inverse_gram(v) = (A^H A)^{-1} v: solve A^H y = v, then A x = y.
     if op.band_limited:
@@ -129,7 +129,7 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
             return solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0]
     try:
         lam = lanczos_lambda_max(inverse_gram, op.dim)
-    except scipy.sparse.linalg.ArpackNoConvergence:
+    except scipy.sparse.linalg.ArpackError:
         return float(scipy.linalg.svdvals(op.matrix)[-1])
     return float(1.0 / np.sqrt(lam))
 
@@ -143,7 +143,7 @@ def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
         adjoint = a.conj().T
         try:
             top = lanczos_lambda_max(lambda v: adjoint @ (a @ v), op.dim)
-        except scipy.sparse.linalg.ArpackNoConvergence:
+        except scipy.sparse.linalg.ArpackError:
             pass
         else:
             return smallest_singular_value(op), float(np.sqrt(top))
@@ -699,6 +699,10 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
     vtilde0 +- vtilde3; c8 = c1^2 / (6 (c1 + 4 c7^2)).  When threshold
     reports are supplied, a warning is recorded if mu/pi lands in an
     estimated excluded set.
+
+    The trials go through the operator's CSR form, whose full-support rotated
+    potential blocks hold about n_modes entries per row: 50 trials take about
+    0.25 s and 70 MiB at M = 16, and 1.1 s and 340 MiB at M = 24.
     """
     grid = coeffs.grid
     if abs(k[0] - np.pi) > 1e-12:
@@ -786,21 +790,24 @@ def cross_term_check(w: PeriodicScalarField, weights: ModeWeights, a: float,
             for s in ("+", "-")}
 
     rng = np.random.default_rng(seed)
-    ratios, zero_cases = [], 0
+    phis, psis = [], []
     for _ in range(n_trials):
         for sign in ("+", "-"):
             t_a, t_ap = sets[sign]
-            phi = project(rng.standard_normal(grid.n_modes)
-                          + 1j * rng.standard_normal(grid.n_modes), ~t_ap.mask)
-            psi = project(rng.standard_normal(grid.n_modes)
-                          + 1j * rng.standard_normal(grid.n_modes), t_a.mask)
-            ip = abs(complex(np.vdot(phi, mult.apply(psi))))
-            scale = np.linalg.norm(phi) * np.linalg.norm(psi)
-            if bound_const * scale > 1e-13:
-                ratios.append(ip / (bound_const * scale))
-            else:
-                zero_cases += 1
-                ratios.append(0.0 if ip <= 1e-10 * max(scale, 1.0) else np.inf)
+            phis.append(project(rng.standard_normal(grid.n_modes)
+                                + 1j * rng.standard_normal(grid.n_modes), ~t_ap.mask))
+            psis.append(project(rng.standard_normal(grid.n_modes)
+                                + 1j * rng.standard_normal(grid.n_modes), t_a.mask))
+    images = mult.apply(np.stack(psis, axis=1))
+    ratios, zero_cases = [], 0
+    for phi, psi, image in zip(phis, psis, images.T):
+        ip = abs(complex(np.vdot(phi, image)))
+        scale = np.linalg.norm(phi) * np.linalg.norm(psi)
+        if bound_const * scale > 1e-13:
+            ratios.append(ip / (bound_const * scale))
+        else:
+            zero_cases += 1
+            ratios.append(0.0 if ip <= 1e-10 * max(scale, 1.0) else np.inf)
 
     ratios = np.asarray(ratios)
     return CrossTermReport(ratios=ratios, max_ratio=float(np.max(ratios)),

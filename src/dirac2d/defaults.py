@@ -13,7 +13,7 @@ TOLERANCES = {
     "field_real_symmetry": 1e-12,
     # Relative Parseval agreement between coefficient and quadrature norms.
     "parseval_rel": 1e-10,
-    # Relative agreement required between dense and matrix-free applications.
+    # Relative agreement required between the CSR, dense and FFT-reference products.
     "matvec_agreement_rel": 1e-10,
     # Entrywise tolerance for the d_+/d_- conjugation symmetry.
     "conjugation_symmetry": 1e-12,

@@ -204,12 +204,16 @@ class PeriodicScalarField:
         the grid's sample resolution.
         """
         s1, s2 = _resolve_resolution(self.grid, resolution)
+        m = self.grid.truncation_radius
         spec = np.zeros((s1, s2), dtype=np.complex128)
         spec[self.grid.n1 % s1, self.grid.n2 % s2] = self.coeffs
-        # Axis by axis, the order ifft2 uses (same bits), so that the input of
-        # each pass is freed before the next one: two grid arrays live, not three.
-        spec = np.fft.ifft(spec, axis=1)
-        return np.fft.ifft(spec, axis=0) * (s1 * s2)
+        # Axis by axis as ifft2 does (same bits), in place; the first pass runs
+        # only over the rows n1 = 0..M and -M..-1 that hold coefficients.
+        for rows in (spec[: m + 1], spec[s1 - m :]):
+            np.fft.ifft(rows, axis=1, out=rows)
+        np.fft.ifft(spec, axis=0, out=spec)
+        spec *= s1 * s2
+        return spec
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate sum_N phi_N e^{2 pi i (N, x)} at arbitrary points (n, 2)."""
@@ -396,10 +400,12 @@ def index_set_T(weights: ModeWeights, a: float, sign: str) -> IndexSet:
 
     # Enumerate the analytic set over its bounding box in Z^2, independent of
     # the window, so counts stay honest even when the window clips the set.
-    lo1 = int(np.ceil((-k1 - a) / TWO_PI))
-    hi1 = int(np.floor((-k1 + a) / TWO_PI))
-    lo2 = int(np.ceil((-k2 - shift - a) / TWO_PI))
-    hi2 = int(np.floor((-k2 - shift + a) / TWO_PI))
+    box = np.array([-k1 - a, -k1 + a, -k2 - shift - a, -k2 - shift + a]) / TWO_PI
+    if not np.all(np.abs(box) < 2.0**53):
+        raise ValueError(f"T^{sign}({a}) at k = {weights.k}, shift {shift}: the mode box "
+                         "reaches 2^53, where k + 2 pi N no longer separates modes")
+    lo1, lo2 = int(np.ceil(box[0])), int(np.ceil(box[2]))
+    hi1, hi2 = int(np.floor(box[1])), int(np.floor(box[3]))
     b1 = np.arange(lo1, hi1 + 1)
     b2 = np.arange(lo2, hi2 + 1)
     bb1, bb2 = np.meshgrid(b1, b2, indexing="ij")

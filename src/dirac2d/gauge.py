@@ -24,9 +24,9 @@ A x = b, so A'^{-1} is the zero-mean solve on chi_+^perp and, with P the
 projector onto chi_+^perp, P A'^{-H} A'^{-1} P = (A^+)^H A^+.  Seeded
 Lanczos on that operator gives the smallest nonzero singular value s[-2],
 Lanczos on A^H A the largest s[0], and sigma_min is |A^H chi_+|; no SVD is
-taken unless Lanczos fails to converge.  Real coefficients give
-i d_-(0) = R conj(A) R with R: N -> -N (the symmetry behind chi_- =
-conj(R chi_+)), so the same factors solve the - equation.  Both residuals are
+taken unless ARPACK fails (no convergence or any other error).  Real
+coefficients give i d_-(0) = R conj(A) R with R: N -> -N (the symmetry
+behind chi_- = conj(R chi_+)), so the same factors solve the - equation.  Both residuals are
 measured against the CSR forms of i d_+(0) and i d_-(0); no dense matrix
 is formed unless Lanczos fails and ``svdvals`` takes over.
 
@@ -112,7 +112,7 @@ class _DPlusLU:
     def _lanczos_or_svdvals(self, matvec, power: float, index: int) -> float:
         try:
             return lanczos_lambda_max(matvec, self.sparse.shape[0]) ** power
-        except scipy.sparse.linalg.ArpackNoConvergence:
+        except scipy.sparse.linalg.ArpackError:
             return float(scipy.linalg.svdvals(self.sparse.toarray())[index])
 
     @cached_property

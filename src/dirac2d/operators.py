@@ -20,34 +20,24 @@ is realised by one more multiplication factor on each side of the fiber.
 
 Every operator is held in one form: a product of factors, each factor a sum
 of terms (i, j, field, diag) that map spinor component j to component i by
-multiplying with the diagonal symbol and then with the field.  Both
-evaluation routes derive from those terms.  The column route builds any set
-of columns of the dense Galerkin matrix right to left: the last factor
-contributes only the needed columns of its convolution blocks (each read
-from one strided view of the field's coefficients), and every earlier
-factor is one dense product per (i, j) block or, when band-limited, one
-sparse product; ``matrix`` is this route over every column (or the CSR form
-below), and ``restricted_operator_distance`` uses it on the probed columns
-only.  The matrix-free route applies each term by FFT (transform,
-multiply, transform back), factor by factor.  The two routes share no
-arithmetic, so they cross-check each other.
+multiplying with the diagonal symbol and then with the field.  Each field
+caches one CSR convolution matrix (the coefficient set hands out the same
+G +- iF fields to every fiber), and a factor's CSR form scales its columns by
+each term's ``diag`` and sums the terms in builder order.  ``apply`` and
+``adjoint_apply`` multiply through these forms (a full-support factor's rows
+hold up to nc * n_modes entries); the fiber solves and the gauge solve factor
+a single-factor operator's form (``sparse``) by ``splu``.
 
-The sparse route serves band-limited fields (band radius b with 2b < M, so
-a convolution row holds (2b+1)^2 <= n_modes / 4 nonzeros).  Each field
-caches one CSR convolution matrix, and the coefficient set hands out the
-same G +- iF fields to every fiber.  A single-factor operator's CSR form
-(``sparse``) scales columns by each term's ``diag`` and sums the terms in
-builder order; a band-limited ``matrix`` is its ``toarray()``, bit for bit
-the column route, and the fiber solves and the gauge solve factor it by
-``splu``.  Full-support fields (gauge exponentials, sampled fields) keep the
-dense blocks and dense LU.
-
-The FFT route transforms a batch laid out batch-first, (B, S, S), with
-``scipy.fft``.  Each term allocates and frees its own work array, so a
-batched apply holds one such array at a time; at M = 16 and B = 578 it is
-38 MiB.  ``scipy.fft`` is imported on the first matrix-free apply rather
-than at import time, because runs that only use the column route never need
-it and would pay its import time and memory.
+The column route (``columns``) builds chosen columns of the dense Galerkin
+matrix right to left: the last factor contributes only the needed columns of
+its convolution blocks (read from one strided view of the coefficients), and
+every earlier factor is one dense product per (i, j) block, or one sparse
+product when band-limited (band radius b with 2b < M, so a row holds
+(2b+1)^2 <= n_modes / 4 nonzeros).  ``matrix`` is this route over every
+column, or a band-limited operator's ``sparse.toarray()``, bit for bit the
+same; ``restricted_operator_distance`` uses it on the probed columns only.
+Full-support fields (gauge exponentials, sampled fields) keep dense blocks
+and dense LU.
 
 A seeded Lanczos helper (:func:`lanczos_lambda_max`) serves every iterative
 eigenvalue the library takes of a Hermitian positive operator: the fiber
@@ -58,6 +48,7 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -135,7 +126,7 @@ class MatrixPotential:
 
 
 # ---------------------------------------------------------------------------
-# Terms: convolution matrices and FFT application
+# Terms: convolution matrices
 # ---------------------------------------------------------------------------
 
 def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
@@ -154,22 +145,6 @@ def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
     view = np.lib.stride_tricks.sliding_window_view(w[::-1, ::-1], (s, s))[::-1, ::-1]
     b, q = np.divmod(np.arange(g.n_modes)[cols], s)
     return view[:, :, b, q].reshape(g.n_modes, -1)
-
-
-def _multiply(vec: np.ndarray, samples: np.ndarray, grid: FourierGrid) -> np.ndarray:
-    """Multiply the columns of ``vec`` (n_modes, B) by a sampled field via FFT.
-
-    The (B, S, S) work array lives only in this frame, so it is freed before
-    the caller moves on to the next term and allocates another one.
-    """
-    import scipy.fft  # deferred to the first apply (see the module docstring)
-    s = grid.sample_resolution
-    flat = (grid.n1 % s) * s + grid.n2 % s
-    spec = np.zeros((vec.shape[1], s * s), dtype=np.complex128)
-    spec[:, flat] = vec.T
-    phys = scipy.fft.ifft2(spec.reshape(-1, s, s), axes=(1, 2), overwrite_x=True)
-    phys *= samples
-    return scipy.fft.fft2(phys, axes=(1, 2), overwrite_x=True).reshape(-1, s * s)[:, flat].T
 
 
 def _blocks(factor):
@@ -224,18 +199,17 @@ def _factor_csr(factor, n: int, nc: int) -> scipy.sparse.csr_matrix:
 # ---------------------------------------------------------------------------
 
 class TruncatedOperator:
-    """A linear map on (C^nc tensor retained modes) with dual evaluation routes.
+    """A linear map on (C^nc tensor retained modes), held as a product of factors.
 
     The operator is the product ``factors[0] @ factors[1] @ ...``.  Each factor
     is a tuple of terms ``(i, j, field, diag)``: the map from spinor component
     j to component i that multiplies by the diagonal symbol ``diag`` (None
     means 1) and then by ``field``; a factor is the sum of its terms.
 
-    ``apply`` runs the matrix-free FFT route (cost O(M^2 log M) per vector);
-    ``columns`` builds chosen columns of the dense Galerkin matrix from
-    convolution blocks, and ``matrix`` is all of them.
-    Both describe the same truncated operator and agree to rounding.  The
-    field samples the FFT route needs are computed on the first apply.
+    ``apply`` multiplies by each factor's CSR form (built on first use and
+    cached); ``columns`` builds chosen columns of the dense Galerkin matrix
+    from convolution blocks, and ``matrix`` is all of them.  Both describe the
+    same truncated operator and agree to rounding.
     Instances are immutable once assembled and safe to share across workers.
     """
 
@@ -246,8 +220,6 @@ class TruncatedOperator:
         self.factors = tuple(tuple(factor) for factor in factors)
         self.meta = dict(meta or {})
         self._matrix = None
-        self._sparse = None
-        self._samples = None
 
     @property
     def dim(self) -> int:
@@ -259,33 +231,25 @@ class TruncatedOperator:
             raise GridMismatchError(f"vector shape {vec.shape} does not match dim {self.dim}")
         return vec
 
-    def _run(self, vec: np.ndarray, adjoint: bool) -> np.ndarray:
-        vec = self._check(vec)
-        if self._samples is None:
-            self._samples = [[field.samples() for _, _, field, _ in factor]
-                             for factor in self.factors]
-        pairs = list(zip(self.factors, self._samples))
-        x = vec.reshape(self.n_components, self.grid.n_modes, -1)
-        for factor, samples in (pairs if adjoint else pairs[::-1]):
-            # Terms accumulate in the order the builder lists them (see assemble_dirac).
-            out = np.zeros_like(x)
-            for (i, j, _, diag), smp in zip(factor, samples):
-                if adjoint:
-                    # Adjoint of multiplication by W is multiplication by conj(W).
-                    w = _multiply(x[i], np.conj(smp), self.grid)
-                    out[j] += w if diag is None else np.conj(diag)[:, None] * w
-                else:
-                    out[i] += _multiply(x[j] if diag is None else diag[:, None] * x[j],
-                                        smp, self.grid)
-            x = out
-        return x.reshape(vec.shape)
+    @cached_property
+    def _csr(self) -> list:
+        """Each factor as one CSR matrix, built on first use."""
+        return [_factor_csr(factor, self.grid.n_modes, self.n_components)
+                for factor in self.factors]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free application; accepts a vector or a (dim, B) batch."""
-        return self._run(vec, adjoint=False)
+        """The product with a vector or a (dim, B) batch, factor by factor right to left."""
+        vec = self._check(vec)
+        for a in reversed(self._csr):
+            vec = a @ vec
+        return vec
 
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._run(vec, adjoint=True)
+        """The adjoint's product, through each factor's conjugate transpose left to right."""
+        vec = self._check(vec)
+        for a in self._csr:
+            vec = a.conj().T @ vec
+        return vec
 
     def columns(self, idx) -> np.ndarray:
         """Columns ``idx`` (strictly ascending) of the dense Galerkin matrix.
@@ -333,9 +297,7 @@ class TruncatedOperator:
         """The Galerkin matrix of a single-factor operator as CSR (cached)."""
         if len(self.factors) != 1:
             raise ValueError("only a single-factor operator has a sparse form")
-        if self._sparse is None:
-            self._sparse = _factor_csr(self.factors[0], self.grid.n_modes, self.n_components)
-        return self._sparse
+        return self._csr[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -366,7 +328,8 @@ def lanczos_lambda_max(matvec, dim: int) -> float:
     ARPACK ``eigs`` runs Lanczos to tol = 0 from a start vector drawn from
     ``DEFAULTS["lanczos_seed"]`` and draws its restart vectors from the same
     generator, so the value is the same on every run.  Raises
-    ``scipy.sparse.linalg.ArpackNoConvergence`` when it does not converge.
+    ``scipy.sparse.linalg.ArpackError`` when ARPACK fails, its subclass
+    ``ArpackNoConvergence`` when it does not converge.
     """
     rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -417,9 +380,7 @@ def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z, *,
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")
-        # Off-diagonal terms come before diagonal ones, so a matrix-free row
-        # sums (d_-+ + V_offdiag) + V_diag, the same rounding as adding whole
-        # blocks.  An identically zero component adds no term.
+        # An identically zero component adds no term.
         for i, j, coeffs_ij in ((0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
                                 (1, 0, V.v1.coeffs + 1j * V.v2.coeffs),
                                 (0, 0, V.v0.coeffs + V.v3.coeffs),

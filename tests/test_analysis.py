@@ -673,9 +673,10 @@ class TestCoercivity:
         ref[n:, n:] = d.multiplication_operator(b11).matrix
         assert np.max(np.abs(op.matrix - ref)) < 1e-13
         x = rng.standard_normal((op.dim, 6)) + 1j * rng.standard_normal((op.dim, 6))
+        tol = d.TOLERANCES["matvec_agreement_rel"]
         for got, want in ((op.apply(x), op.matrix @ x),
                           (op.adjoint_apply(x), op.matrix.conj().T @ x)):
-            assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) < tol * np.linalg.norm(want)
 
     def test_zero_trial_margin_zero(self):
         grid = d.FourierGrid(10, 42)

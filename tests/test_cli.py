@@ -230,6 +230,7 @@ EDGE_CONFIGS = [
     ("bands", 'coefficients.p="2.0"'),
     ("bands", "grid.truncation_radius=3.0"),
     pytest.param("sweep", f"sweep.k2_grid=[{10**400}]", id="sweep-int-past-float-range"),
+    ("verify", "verify.counting.k2_values=[1e308]"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -259,6 +260,18 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+@pytest.mark.parametrize("assignment", ["potential.V1={constant: 1e308}",
+                                        "sweep.k_prime=[1e308, 0]"])
+def test_arpack_failure_exits_cleanly(tmp_path, capsys, assignment):
+    # ARPACK rejects the overflowing operator ("starting vector is zero"); the
+    # sweep falls back to svdvals like on non-convergence instead of crashing.
+    code = run("sweep", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", assignment)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_max", ["'8.0'", "8.0", "'8'"])

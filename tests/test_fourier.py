@@ -57,7 +57,19 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         fld = d.random_trig_field(grid, rng, degree=5, amplitude=1.5, real=False)
         quad = np.sqrt(np.mean(np.abs(fld.samples()) ** 2))
-        assert abs(fld.l2_norm() - quad) <= 1e-10 * quad
+        assert abs(fld.l2_norm() - quad) <= d.TOLERANCES["parseval_rel"] * quad
+
+    @pytest.mark.parametrize("m,resolution", [(3, (15, 23)), (4, (27, 19)), (5, 33)])
+    def test_samples_match_ifft2_bit_for_bit(self, m, resolution):
+        # samples() transforms only the rows that hold coefficients; the
+        # result is the full two-dimensional inverse FFT to the last bit.
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(m)
+        fld = d.random_trig_field(grid, rng, degree=m, amplitude=1.0, real=False)
+        s1, s2 = (resolution, resolution) if np.isscalar(resolution) else resolution
+        spec = np.zeros((s1, s2), dtype=complex)
+        spec[grid.n1 % s1, grid.n2 % s2] = fld.coeffs
+        assert np.array_equal(fld.samples(resolution), np.fft.ifft2(spec) * (s1 * s2))
 
     def test_dimension_mismatch(self):
         grid = d.FourierGrid(3, 16)

@@ -1,4 +1,4 @@
-"""Operator assembly: fibers, block layout, dual evaluation routes, gauge conjugation."""
+"""Operator assembly, the CSR and column routes against an FFT oracle, gauge conjugation."""
 
 import os
 import subprocess
@@ -11,6 +11,8 @@ import scipy.linalg
 
 import dirac2d as d
 
+MATVEC_REL = d.TOLERANCES["matvec_agreement_rel"]
+
 
 def constant_set(m=4):
     grid = d.FourierGrid(m, 2 * (2 * m + 1))
@@ -21,6 +23,38 @@ def random_set(m=4, seed=0, **kw):
     grid = d.FourierGrid(m, 2 * (2 * m + 1))
     rng = np.random.default_rng(seed)
     return grid, d.random_gamma_instance(grid, rng, **kw), rng
+
+
+def fft_apply(op, x, adjoint=False):
+    """The product with ``op`` (or its adjoint) by FFT, term by term.
+
+    Each term transforms to samples, multiplies by the field's samples and
+    transforms back, so it shares no arithmetic with the library's CSR and
+    column routes and serves as their reference.
+    """
+    grid = op.grid
+    s = grid.sample_resolution
+    flat = (grid.n1 % s) * s + grid.n2 % s
+
+    def multiply(v, samples):  # v is (n_modes, B)
+        spec = np.zeros((v.shape[1], s * s), dtype=complex)
+        spec[:, flat] = v.T
+        phys = np.fft.ifft2(spec.reshape(-1, s, s)) * samples
+        return np.fft.fft2(phys).reshape(-1, s * s)[:, flat].T
+
+    x = np.asarray(x, dtype=complex)
+    y = x.reshape(op.n_components, grid.n_modes, -1)
+    for factor in (op.factors if adjoint else op.factors[::-1]):
+        out = np.zeros_like(y)
+        for i, j, field, diag in factor:
+            if adjoint:  # the adjoint of multiplication by W multiplies by conj(W)
+                w = multiply(y[i], np.conj(field.samples()))
+                out[j] += w if diag is None else np.conj(diag)[:, None] * w
+            else:
+                out[i] += multiply(y[j] if diag is None else diag[:, None] * y[j],
+                                   field.samples())
+        y = out
+    return y.reshape(x.shape)
 
 
 class TestScalarFibers:
@@ -151,9 +185,9 @@ class TestApplication:
         op = d.assemble_dirac(cs, V, z, mu=2.5)
         for _ in range(5):
             v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-            dense = op.matrix @ v
-            rel = np.linalg.norm(op.apply(v) - dense) / np.linalg.norm(dense)
-            assert rel < 1e-10
+            ref = fft_apply(op, v)
+            for got in (op.apply(v), op.matrix @ v):
+                assert np.linalg.norm(got - ref) < MATVEC_REL * np.linalg.norm(ref)
 
     def test_batched_apply(self):
         grid, cs, rng = random_set(seed=7)
@@ -170,7 +204,7 @@ class TestApplication:
         w = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         lhs = np.vdot(w, op.apply(v))
         rhs = np.vdot(op.adjoint_apply(w), v)
-        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+        assert abs(lhs - rhs) < MATVEC_REL * abs(lhs)
 
     def test_gauge_conjugated_composition_batched(self):
         # Zero V0/V3 leaves the diagonal potential blocks out of the operator.
@@ -184,9 +218,11 @@ class TestApplication:
         op = d.gauge_conjugate(d.assemble_dirac(cs, V, z), phi, psi, 0.8)
         op = op @ d.assemble_dirac(cs, None, (0.1, 0.2))
         x = rng.standard_normal((op.dim, 6)) + 1j * rng.standard_normal((op.dim, 6))
-        for got, ref in ((op.apply(x), op.matrix @ x),
-                         (op.adjoint_apply(x), op.matrix.conj().T @ x)):
-            assert np.linalg.norm(got - ref) < 1e-10 * np.linalg.norm(ref)
+        for got, ref in ((op.apply(x), fft_apply(op, x)),
+                         (op.matrix @ x, fft_apply(op, x)),
+                         (op.adjoint_apply(x), fft_apply(op, x, adjoint=True)),
+                         (op.matrix.conj().T @ x, fft_apply(op, x, adjoint=True))):
+            assert np.linalg.norm(got - ref) < MATVEC_REL * np.linalg.norm(ref)
 
     def test_zero_potential_components_add_no_kernel(self):
         grid, cs, rng = random_set(m=4, seed=13)
@@ -205,8 +241,8 @@ class TestApplication:
         assert np.max(np.abs(op.matrix - ref)) < 1e-13
 
     def test_batched_apply_peak_memory(self):
-        # Each term's (B, S, S) FFT work array is freed before the next term
-        # allocates its own, so the peak stays near one work array.
+        # A single-factor product allocates its output and, for the adjoint,
+        # the conjugated CSR form: nothing scales with the sample grid.
         import tracemalloc
 
         grid, cs, rng = random_set(m=8, seed=16)
@@ -214,10 +250,9 @@ class TestApplication:
         V = d.MatrixPotential(zero, d.random_trig_field(grid, rng, 2, 0.4),
                               d.random_trig_field(grid, rng, 2, 0.4), zero)
         op = d.assemble_dirac(cs, V, (0.3, 0.4))
-        b, s = 162, grid.sample_resolution
-        x = rng.standard_normal((op.dim, b)) + 1j * rng.standard_normal((op.dim, b))
-        op.apply(x[:, :1])  # first apply: scipy.fft import and field samples
-        bound = 2 * x.nbytes + 1.5 * b * s * s * 16
+        x = rng.standard_normal((op.dim, 162)) + 1j * rng.standard_normal((op.dim, 162))
+        op.apply(x[:, :1])  # first apply builds the cached CSR form
+        bound = 1.5 * x.nbytes
         for fn in (op.apply, op.adjoint_apply):
             tracemalloc.start()
             try:
@@ -228,6 +263,8 @@ class TestApplication:
             assert peak <= bound, (fn.__name__, peak, bound)
 
     def test_dense_route_takes_no_samples(self, monkeypatch):
+        # No route samples a field: products, columns and the dense matrix all
+        # read the coefficients.
         grid, cs, rng = random_set(m=4, seed=17)
         V = d.MatrixPotential(*(d.random_trig_field(grid, rng, 2, 0.4) for _ in range(4)))
         calls = []
@@ -239,18 +276,41 @@ class TestApplication:
         monkeypatch.setattr(d.PeriodicScalarField, "samples", counting_samples)
         op = d.assemble_dirac(cs, V, (0.3, 0.4), mu=0.5)
         op.matrix
-        assert calls == []
+        op.columns(np.arange(0, op.dim, 7))
         op.apply(np.ones(op.dim))
-        assert len(calls) == len(op.factors[0])
+        op.adjoint_apply(np.ones((op.dim, 2)))
+        assert calls == []
 
-    def test_import_leaves_scipy_fft_unloaded(self):
-        # scipy.fft is imported on the first matrix-free apply, not with the package.
+    def test_library_routes_leave_scipy_fft_unloaded(self):
+        # Importing the package and running every product route, the
+        # coercivity and cross-term checks, the formula fit and the gauge
+        # solve and distance never import scipy.fft.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, dirac2d; print('scipy.fft' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True)
+        code = """if True:
+            import sys
+            import numpy as np
+            import dirac2d as d
+            grid = d.FourierGrid(3, 14)
+            rng = np.random.default_rng(44)
+            cs = d.random_gamma_instance(grid, rng)
+            c1, c2 = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(2))
+            sol = d.solve_gauge(cs, c1, c2)
+            op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
+            op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
+            op.adjoint_apply(op.apply(np.ones(op.dim)))
+            d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))
+            can = d.solve_canonical_gauge(cs)
+            d.cokernel_formula_fit(cs, can)
+            zero = d.PeriodicScalarField.constant(grid, 0.0)
+            d.verify_coercivity(cs, c1, zero, can.psi, 8 * np.pi, 2 * np.pi, (np.pi, 0.0),
+                                trials=2)
+            weights = d.mode_weights(grid, (np.pi, 0.0), 8 * np.pi)
+            d.cross_term_check(c1, weights, 2 * np.pi, 3 * np.pi, n_trials=2)
+            print('scipy.fft' in sys.modules)"""
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
     def test_dimension_mismatch(self):
@@ -267,7 +327,8 @@ class TestIdentities:
         _, cs, _ = random_set(m=4, seed=10)
         dp = d.assemble_dpm(cs, (0.0, 0.0), 0.0, "+").matrix
         dm = d.assemble_dpm(cs, (0.0, 0.0), 0.0, "-").matrix
-        assert np.max(np.abs(dm + np.conj(dp[::-1, ::-1]))) <= 1e-12
+        tol = d.TOLERANCES["conjugation_symmetry"]
+        assert np.max(np.abs(dm + np.conj(dp[::-1, ::-1]))) <= tol
 
     def test_two_sided_bound_with_empirical_constants(self):
         grid, cs, rng = random_set(m=4, seed=11)
@@ -354,7 +415,7 @@ def conjugated_pair(m, seed):
 
 
 def fft_probe_distance(a, b, probe_radius=None):
-    """The restricted distance by FFT applies on identity probes and an ord=2 SVD norm."""
+    """The restricted distance by FFT products on identity probes and an ord=2 SVD norm."""
     grid = a.grid
     if probe_radius is None:
         probe_radius = max(1, int(grid.truncation_radius * d.DEFAULTS["probe_radius_fraction"]))
@@ -362,7 +423,7 @@ def fft_probe_distance(a, b, probe_radius=None):
     idx = np.nonzero(np.concatenate([sel] * a.n_components))[0]
     probe = np.zeros((a.dim, idx.size), dtype=np.complex128)
     probe[idx, np.arange(idx.size)] = 1.0
-    return float(np.linalg.norm(a.apply(probe) - b.apply(probe), ord=2))
+    return float(np.linalg.norm(fft_apply(a, probe) - fft_apply(b, probe), ord=2))
 
 
 class TestColumnRoute:
@@ -373,7 +434,7 @@ class TestColumnRoute:
         probe = np.zeros((lhs.dim, idx.size), dtype=complex)
         probe[idx, np.arange(idx.size)] = 1.0
         assert np.max(np.abs(cols - lhs.matrix[:, idx])) < 1e-12
-        assert np.max(np.abs(cols - lhs.apply(probe))) < 1e-12
+        assert np.max(np.abs(cols - fft_apply(lhs, probe))) < 1e-12
 
     @pytest.mark.parametrize("probe_radius", [None, 2])
     def test_distance_matches_fft_probe_formula(self, probe_radius):
@@ -381,27 +442,6 @@ class TestColumnRoute:
         got = d.restricted_operator_distance(lhs, rhs, probe_radius)
         assert got > 1e-8
         assert abs(got - fft_probe_distance(lhs, rhs, probe_radius)) < 1e-12
-
-    def test_gauge_solve_and_distance_leave_scipy_fft_unloaded(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        code = """if True:
-            import sys
-            import numpy as np
-            import dirac2d as d
-            grid = d.FourierGrid(3, 14)
-            rng = np.random.default_rng(44)
-            cs = d.random_gamma_instance(grid, rng)
-            c1, c2 = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(2))
-            sol = d.solve_gauge(cs, c1, c2)
-            op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
-            op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
-            d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))
-            print('scipy.fft' in sys.modules)"""
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
 
 
 def band_limited_fiber(m, seed, degree):
