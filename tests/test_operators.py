@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,21 @@ def fft_apply(op, x, adjoint=False):
         y = out
     return y.reshape(x.shape)
 
+
+
+def scipy_fft_loaded_after(body):
+    """Whether ``scipy.fft`` is in ``sys.modules`` after a fresh interpreter runs ``body``.
+
+    ``body`` runs after ``import numpy as np`` and ``import dirac2d as d``.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys\nimport numpy as np\nimport dirac2d as d\n"
+            + textwrap.dedent(body) + "\nprint('scipy.fft' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
 
 class TestScalarFibers:
     def test_constant_coefficients_diagonalize(self):
@@ -281,37 +297,26 @@ class TestApplication:
         op.adjoint_apply(np.ones((op.dim, 2)))
         assert calls == []
 
+    def test_import_leaves_scipy_fft_unloaded(self):
+        assert not scipy_fft_loaded_after("import dirac2d")
+
     def test_library_routes_leave_scipy_fft_unloaded(self):
-        # Importing the package and running every product route, the
-        # coercivity and cross-term checks, the formula fit and the gauge
-        # solve and distance never import scipy.fft.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        code = """if True:
-            import sys
-            import numpy as np
-            import dirac2d as d
+        # Both product routes, the coercivity and cross-term checks and the
+        # formula fit never import scipy.fft.
+        assert not scipy_fft_loaded_after("""
             grid = d.FourierGrid(3, 14)
             rng = np.random.default_rng(44)
             cs = d.random_gamma_instance(grid, rng)
-            c1, c2 = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(2))
-            sol = d.solve_gauge(cs, c1, c2)
-            op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
-            op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
+            c1, phi, psi = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(3))
+            op = d.gauge_conjugate(d.assemble_dirac(cs, None, (0.3, 0.4)), phi, psi, 1.0)
             op.adjoint_apply(op.apply(np.ones(op.dim)))
-            d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))
             can = d.solve_canonical_gauge(cs)
             d.cokernel_formula_fit(cs, can)
             zero = d.PeriodicScalarField.constant(grid, 0.0)
             d.verify_coercivity(cs, c1, zero, can.psi, 8 * np.pi, 2 * np.pi, (np.pi, 0.0),
                                 trials=2)
             weights = d.mode_weights(grid, (np.pi, 0.0), 8 * np.pi)
-            d.cross_term_check(c1, weights, 2 * np.pi, 3 * np.pi, n_trials=2)
-            print('scipy.fft' in sys.modules)"""
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+            d.cross_term_check(c1, weights, 2 * np.pi, 3 * np.pi, n_trials=2)""")
 
     def test_dimension_mismatch(self):
         _, cs = constant_set(2)
@@ -443,6 +448,17 @@ class TestColumnRoute:
         assert got > 1e-8
         assert abs(got - fft_probe_distance(lhs, rhs, probe_radius)) < 1e-12
 
+
+    def test_gauge_solve_and_distance_leave_scipy_fft_unloaded(self):
+        assert not scipy_fft_loaded_after("""
+            grid = d.FourierGrid(3, 14)
+            rng = np.random.default_rng(44)
+            cs = d.random_gamma_instance(grid, rng)
+            c1, c2 = (d.random_trig_field(grid, rng, 2, 0.5) for _ in range(2))
+            sol = d.solve_gauge(cs, c1, c2)
+            op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
+            op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
+            d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))""")
 
 def band_limited_fiber(m, seed, degree):
     """A variable fiber plus a four-component potential, all of band radius ``degree``."""
