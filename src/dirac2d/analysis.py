@@ -28,18 +28,13 @@ samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
 each block of points about 2 sqrt(n_max) elementwise passes and one BLAS-3
 product instead of n_max passes over the grid (see :func:`power_moments`).
 
-Per-fiber work (each quasimomentum, each sweep point) is independent; a small
-thread pool dispatches it when ``workers`` > 1 and results are collected by
-index, so the output never depends on scheduling.  Nothing pins BLAS to one
-thread per worker, so the pool can be slower than one worker: on 2 cores with
-OpenBLAS at 2 threads, a ``sweep`` with ``workers = 2`` ran 13% slower than
-with ``workers = 1`` (median 2.18 against 1.92 s).
+Per-fiber work (each quasimomentum, each sweep point) runs serially, in grid
+order; BLAS/LAPACK inside each solve uses its own threads.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -75,14 +70,6 @@ from .operators import (
     lanczos_lambda_max,
     multiplication_operator,
 )
-
-
-def _pmap(fn, items, workers: int):
-    """Ordered map, optionally over a thread pool (index-stable)."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def brillouin_grid(n1: int, n2: int) -> np.ndarray:
@@ -172,8 +159,7 @@ class BandTable:
 
 
 def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
-                   n_bands: int | None = None, mode: str = "auto",
-                   workers: int = 1) -> BandTable:
+                   n_bands: int | None = None, mode: str = "auto") -> BandTable:
     """Fiber spectra over a real quasimomentum grid.
 
     ``mode="eigen"`` requires a Hermitian fiber (Hermitian-flagged potential
@@ -208,11 +194,13 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
         off_diagonal = all(i != j for i, j, _, _ in op.factors[0])
         if use_eigen and off_diagonal:
             # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
-            # eigenvalues are +-sigma(B).
-            s = scipy.linalg.svdvals(0.5 * _dense(a[n:, :n] + a[:n, n:].conj().T))
+            # eigenvalues are +-sigma(B).  Here and below each term is halved
+            # before the sum (exact), so entries near the float limit do not
+            # overflow.
+            s = scipy.linalg.svdvals(_dense(0.5 * a[n:, :n] + 0.5 * a[:n, n:].conj().T))
             vals = np.concatenate([-s, s[::-1]])
         elif use_eigen:
-            vals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
+            vals = np.linalg.eigvalsh(0.5 * op.matrix + 0.5 * op.matrix.conj().T)
         elif off_diagonal:
             # sigma([[0, B1], [B2, 0]]) = sigma(B1) u sigma(B2): two half-size SVDs.
             vals = np.sort(np.concatenate([scipy.linalg.svdvals(_dense(a[:n, n:])),
@@ -223,7 +211,7 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
             vals = _cut_bands(vals, n_bands)
         return vals, defect, use_eigen
 
-    results = _pmap(one, list(kgrid), workers)
+    results = [one(k) for k in kgrid]
     values = np.array([r[0] for r in results])
     defect = max(r[1] for r in results)
     used_eigen = all(r[2] for r in results)
@@ -302,7 +290,7 @@ def sweep_direction_from_gauge(canonical) -> tuple[float, float]:
 
 
 def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
-                    sweep: SweepConfig, *, workers: int = 1) -> SweepReport:
+                    sweep: SweepConfig) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
     Each point is one LU factorization and a Lanczos run on its solves
@@ -323,7 +311,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         z = ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1]))
         return smallest_singular_value(assemble_dirac(coeffs, V, z))
 
-    sigma = np.reshape(_pmap(one, tasks, workers), (len(sweep.mu_grid), len(sweep.k2_grid)))
+    sigma = np.reshape([one(t) for t in tasks], (len(sweep.mu_grid), len(sweep.k2_grid)))
     min_per_mu = sigma.min(axis=1)
     flagged = min_per_mu < TOLERANCES["sigma_min_flag"]
 

@@ -1,8 +1,10 @@
 """Command-line front end: config ingestion, subcommand dispatch, persistence.
 
 Runs are described by a single YAML document (nested key/value sections); a
-few scalar flags (--seed, --out, --workers, --set key=value) override config
-scalars.  ``SCHEMA`` lists every key a run reads with its kind and default.
+few scalar flags (--seed, --out, --set key=value) override config scalars.
+``SCHEMA`` lists every key a run reads with its kind and default.  Per-fiber
+work runs serially: ``--workers`` and the ``workers`` key are still accepted,
+but only with the value 1.
 Every run writes a JSON manifest carrying the full configuration, every
 tolerance and default in force, content hashes of the inputs and outputs, and
 the seed policy, plus CSV data files and a plain-text summary.
@@ -117,7 +119,7 @@ SCHEMA = {
     "coefficients.q": ("real", REQUIRED), "coefficients.f_bound": ("real", REQUIRED),
     "coefficients.G": ("field", REQUIRED), "coefficients.H": ("field", REQUIRED),
     "coefficients.F": ("field", REQUIRED),
-    "seed": ("int", 0), "workers": ("int", DEFAULTS["workers"]),
+    "seed": ("int", 0), "workers": ("word", 1, 1),  # per-fiber work runs serially
     "output_dir": ("str", None),  # None: runs/<subcommand>
     "potential": ("map", None, None),  # null: no potential
     "potential.V0": ("field", {"constant": 0.0}),
@@ -193,7 +195,7 @@ def _missing(key: str) -> ConfigSchemaError:
 
 
 def _check_value(value, key: str, kind: str, words=()) -> None:
-    if value in words:
+    if any(type(value) is type(w) and value == w for w in words):  # workers: true is not 1
         return
     if kind in _PARTS and isinstance(value, dict):
         for part, sub in _PARTS[kind].items():
@@ -214,7 +216,8 @@ def _check_value(value, key: str, kind: str, words=()) -> None:
         pair = value if isinstance(value, list) and len(value) == 2 else [value]
         ok = all(type(r) is int and r >= 1 for r in pair)
     elif kind == "word":
-        raise ConfigSchemaError(f"{key}: expected one of {', '.join(words)}, got {value!r}")
+        raise ConfigSchemaError(f"{key}: expected one of {', '.join(map(str, words))}, "
+                                f"got {value!r}")
     else:
         ok = isinstance(value, list) and (len(value) == 2 if kind == "pair" else len(value) > 0)
         for i, entry in enumerate(value if ok else ()):
@@ -252,7 +255,6 @@ class RunContext:
         self.subcommand = subcommand
         self.config_path = Path(config_path)
         self.seed = self["seed"]
-        self.workers = self["workers"]
         out = out or self["output_dir"]
         self.out_dir = Path(f"runs/{subcommand}" if out is None else out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,7 +328,6 @@ class RunContext:
             "config": _jsonable(self.cfg),
             "seed": self.seed,
             "seed_policy": "numpy.default_rng(seed [+ fixed per-suite offsets])",
-            "workers": self.workers,
             "tolerances": _jsonable(TOLERANCES),
             "defaults": _jsonable(DEFAULTS),
             "input_hashes": self.input_hashes,
@@ -391,7 +392,7 @@ def run_bands(ctx: RunContext) -> int:
     n_bands = ctx["bands.n_bands"]
     table = band_structure(coeffs, potential, kgrid,
                            n_bands=None if n_bands == "all" else n_bands,
-                           mode=ctx["bands.mode"], workers=ctx.workers)
+                           mode=ctx["bands.mode"])
 
     out = ctx.out_dir / "bands.csv"
     write_csv(out, ["k1", "k2", "index", "value"], table.rows())
@@ -424,7 +425,7 @@ def run_sweep(ctx: RunContext) -> int:
         k2_grid=tuple(ctx["sweep.k2_grid"]),
         k1=k1,
     )
-    report = sigma_min_sweep(coeffs, potential, sweep, workers=ctx.workers)
+    report = sigma_min_sweep(coeffs, potential, sweep)
 
     out = ctx.out_dir / "sweep.csv"
     write_csv(out, ["mu_tilde", "k2", "sigma_min"], report.rows())
@@ -603,7 +604,7 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
 
     # Certificate floor on a short sweep line: no sigma_min below the flag level.
     sweep = SweepConfig(mu_grid=(0.0, float(np.pi), 2 * float(np.pi)), k2_grid=(k2,))
-    srep = sigma_min_sweep(coeffs, potential, sweep, workers=ctx.workers)
+    srep = sigma_min_sweep(coeffs, potential, sweep)
     flags = int(np.count_nonzero(srep.flagged))
     checks.append({"suite": "sweep_floor",
                    "name": "sigma_min above the certificate floor on k1 = pi",
@@ -685,7 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (overrides config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=None, help="override config workers")
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for old configs; only 1 (per-fiber work runs serially)")
         p.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                        help="override a config scalar (repeatable)")
     return parser

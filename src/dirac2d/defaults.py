@@ -39,8 +39,6 @@ TOLERANCES = {
 DEFAULTS = {
     # Smallest admissible radius for the T-set machinery.
     "a_min": 2.0 * math.pi,
-    # Default lower cutoff a0 for the coercivity radius.
-    "a0": 4.0 * math.pi,
     # Fraction of the truncation radius used for conjugation-residual probes.
     "probe_radius_fraction": 0.5,
     # Required samples per oscillation when integrating e^{2 pi i nu (Psi - x2)} W.
@@ -60,8 +58,6 @@ DEFAULTS = {
     # the gauge solve's s[0] and s[-2]) and of the vector that replaces the
     # zero N = 0 column of i d_+(0) before its sparse LU.
     "lanczos_seed": 0,
-    # Worker count for per-fiber parallel dispatch.
-    "workers": 1,
     # Cap on the ladder length J when constructing separated radii a_2..a_{J+1}.
     "ladder_cap": 64,
     # Denominator in the threshold rule for splitting off the bounded part of a

@@ -330,6 +330,9 @@ class ModeWeights:
 
     def __post_init__(self):
         k1, k2 = float(self.k[0]), float(self.k[1])
+        if not max(abs(k1), abs(k2), abs(self.mu)) < 2.0**53:
+            raise ValueError(f"mode weights at k = {(k1, k2)}, mu = {self.mu}: |k| and |mu| "
+                             "must stay below 2^53, where k + 2 pi N no longer separates modes")
         object.__setattr__(self, "k", (k1, k2))
         u = k1 + TWO_PI * self.grid.n1
         vp = k2 + TWO_PI * self.grid.n2 + self.mu

@@ -209,8 +209,8 @@ class TruncatedOperator:
     ``apply`` multiplies by each factor's CSR form (built on first use and
     cached); ``columns`` builds chosen columns of the dense Galerkin matrix
     from convolution blocks, and ``matrix`` is all of them.  Both describe the
-    same truncated operator and agree to rounding.
-    Instances are immutable once assembled and safe to share across workers.
+    same truncated operator and agree to rounding.  The factors are fixed at
+    assembly; ``matrix`` too is built on first use and cached.
     """
 
     def __init__(self, grid: FourierGrid, n_components: int, factors,

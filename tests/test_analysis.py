@@ -274,12 +274,13 @@ class TestSweep:
         assert len(rows) == 3
         assert rep.floor_log_intercept is not None
 
-    def test_workers_agree(self):
-        _, cs, _ = random_set(seed=5)
-        sweep = d.SweepConfig(mu_grid=(0.0, np.pi), k2_grid=(0.0, 0.5))
-        a = d.sigma_min_sweep(cs, None, sweep, workers=1)
-        b = d.sigma_min_sweep(cs, None, sweep, workers=3)
-        assert np.array_equal(a.sigma, b.sigma)
+    def test_drivers_take_no_workers(self):
+        # Per-fiber work runs serially; the thread-pool parameter is gone.
+        _, cs = constant_set(3)
+        with pytest.raises(TypeError):
+            d.band_structure(cs, None, [[0.0, 0.0]], workers=2)
+        with pytest.raises(TypeError):
+            d.sigma_min_sweep(cs, None, d.SweepConfig(), workers=2)
 
 
 class TestEquivalenceConstants:

@@ -231,6 +231,9 @@ EDGE_CONFIGS = [
     ("bands", "grid.truncation_radius=3.0"),
     pytest.param("sweep", f"sweep.k2_grid=[{10**400}]", id="sweep-int-past-float-range"),
     ("verify", "verify.counting.k2_values=[1e308]"),
+    ("verify", "verify.mu=1e300"),
+    ("bands", "workers=3"),
+    ("bands", "workers=true"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -245,7 +248,7 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "bands.n_bands=2.7", "wiener.n_max=8.5", "wiener.n_max='8.5'",
                    "wiener.n_max=[1", "verify.trials=2.5",
                    'coefficients.p="2.0"', "grid.truncation_radius=3.0",
-                   f"sweep.k2_grid=[{10**400}]"}
+                   f"sweep.k2_grid=[{10**400}]", "workers=3", "workers=true"}
 
 
 @pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
@@ -270,6 +273,17 @@ def test_arpack_failure_exits_cleanly(tmp_path, capsys, assignment):
     code = run("sweep", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
                "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
                "--set", assignment)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("component", ["V0", "V1"])
+def test_bands_near_the_float_limit_exit_cleanly(tmp_path, capsys, component):
+    # The Hermitian part halves each term before the sum (V1: the off-diagonal
+    # block route; V0: the full eigvalsh route).
+    code = run("bands", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", f"potential.{component}={{constant: 1e308}}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
 
@@ -411,11 +425,20 @@ def test_runs_read_only_schema_keys(tmp_path, monkeypatch):
             path.write_text(yaml.safe_dump(dict(cfg, output_dir=str(tmp_path / name / sub))))
             with contextlib.redirect_stdout(io.StringIO()):
                 run(sub, "--config", path)
-    # Sections are checked as mappings but read only through their keys.
-    assert read == {key for key, (kind, *_) in SCHEMA.items() if kind != "map"}
+    # Sections are checked as mappings but read only through their keys;
+    # workers is checked (it takes only 1) but no run reads it.
+    assert read == {key for key, (kind, *_) in SCHEMA.items() if kind != "map"} - {"workers"}
     ctx = cli.RunContext(SHIPPED["constant_free"], "bands", path, tmp_path / "o")
     with pytest.raises(KeyError):
         ctx["bands.colour"]
+
+
+def test_every_default_is_read():
+    # A manifest records every default; one that no module reads is a dead setting.
+    package = Path(d.__file__).parent
+    text = "".join(p.read_text(encoding="utf-8") for p in package.glob("*.py")
+                   if p.name != "defaults.py")
+    assert [key for key in d.DEFAULTS if f'"{key}"' not in text and f"'{key}'" not in text] == []
 
 
 def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -476,11 +499,14 @@ class TestDeterminism:
         r2 = (out2 / "verify.csv").read_bytes()
         assert r1 != r2  # trial statistics move with the seed
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        cfg = small_free_config(tmp_path)
+    def test_workers_1_matches_no_workers_key(self, tmp_path):
+        cfg = yaml.safe_load(small_free_config(tmp_path).read_text())
+        del cfg["workers"]
+        path = tmp_path / "no_workers.yaml"
+        path.write_text(yaml.safe_dump(cfg))
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        run("bands", "--config", cfg, "--out", out1, "--workers", "1")
-        run("bands", "--config", cfg, "--out", out2, "--workers", "3")
+        assert run("bands", "--config", path, "--out", out1, "--workers", "1") == 0
+        assert run("bands", "--config", path, "--out", out2) == 0
         assert (out1 / "bands.csv").read_bytes() == (out2 / "bands.csv").read_bytes()
 
 
