@@ -16,11 +16,14 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
-Fiber solves use the fiber's structure: a sweep point is factored once
-(sparse LU when its fields are band-limited, dense LU otherwise) and
-sigma_min read off by Lanczos on the LU solves of (A^H A)^{-1}, as are the
-equivalence constants; a Hermitian fiber without diagonal blocks gets its
-bands as +-sigma of one off-diagonal block (see
+Fiber solves use the fiber's structure (:func:`fiber_route`).  Constant
+coefficients and potential, as in the free reference operator, make each
+Fourier mode its own 2x2 block (1x1 for d_pm): bands, sigma_min and the
+equivalence constants are then batched per-mode solves.  Otherwise a sweep
+point is factored once (sparse LU when its fields are band-limited, dense LU
+otherwise) and sigma_min read off by Lanczos on the LU solves of
+(A^H A)^{-1}, as are the equivalence constants; a Hermitian fiber without
+diagonal blocks gets its bands as +-sigma of one off-diagonal block (see
 :func:`smallest_singular_value`, :func:`band_structure`).
 
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
@@ -84,10 +87,19 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-def smallest_singular_value(op: TruncatedOperator) -> float:
-    """sigma_min of a truncated operator, one algorithm at every size.
+ROUTES = ("per-mode", "sparse", "dense")
 
-    A is factored once (``splu`` of the CSR form when the operator is
+
+def fiber_route(op: TruncatedOperator) -> str:
+    """Which form of ``op`` the fiber solves read, one of ``ROUTES``: the per-mode
+    blocks, the CSR form (``splu``) or the dense matrix (``zgetrf``)."""
+    return "per-mode" if op.mode_blocks is not None else "sparse" if op.band_limited else "dense"
+
+
+def smallest_singular_value(op: TruncatedOperator) -> float:
+    """sigma_min of a truncated operator: the least over the per-mode blocks'
+    SVDs for constant coefficients (0.0 for an exactly zero block), else A is
+    factored once (``splu`` of the CSR form when the operator is
     band-limited, else ``zgetrf``) and seeded Lanczos
     (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
@@ -97,6 +109,8 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     fibers take the dense route, which holds 16 dim^2 bytes (about 1 GiB at
     M = 32) and as much again in LU factors.
     """
+    if op.mode_blocks is not None:
+        return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
     # inverse_gram(v) = (A^H A)^{-1} v: solve A^H y = v, then A x = y.
     if op.band_limited:
         try:
@@ -122,10 +136,11 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
 
 
 def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of a single-factor operator: for a band-limited
-    one :func:`smallest_singular_value` and seeded Lanczos on A^H A, else (or
-    if Lanczos fails) one ``svdvals``."""
-    if op.band_limited:
+    """(sigma_min, sigma_max) of a single-factor operator: the per-mode SVDs
+    for constant coefficients, for another band-limited one seeded Lanczos on
+    A^H A and :func:`smallest_singular_value`, else (or if Lanczos fails) ``svdvals``."""
+    blocks = op.mode_blocks
+    if blocks is None and op.band_limited:
         a = op.sparse
         adjoint = a.conj().T
         try:
@@ -134,8 +149,9 @@ def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
             pass
         else:
             return smallest_singular_value(op), float(np.sqrt(top))
-    s = scipy.linalg.svdvals(op.matrix)
-    return float(s[-1]), float(s[0])
+    s = (scipy.linalg.svdvals(op.matrix) if blocks is None
+         else np.linalg.svd(blocks, compute_uv=False))
+    return float(s.min()), float(s.max())
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +166,7 @@ class BandTable:
     values: np.ndarray            # (n_k, n_sel) sorted ascending per row
     mode: str                     # "eigen" or "singular"
     hermitian_defect: float       # worst |A - A^H| entry over the grid
+    routes: dict                  # fibers per route (see :func:`fiber_route`)
 
     def rows(self):
         """(k1, k2, index, value) records in deterministic order."""
@@ -165,8 +182,9 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
     ``mode="eigen"`` requires a Hermitian fiber (Hermitian-flagged potential
     and an assembled matrix equal to its conjugate transpose) and returns real
     eigenvalues; ``mode="singular"`` returns singular values; ``auto`` picks
-    per assembly.  A fiber whose terms all map one spinor component to the
-    other (no V0/V3 term, e.g. the free fiber) is block off-diagonal: its
+    per assembly.  Constant coefficients take one batched solve of the
+    per-mode blocks.  Otherwise a fiber whose terms all map one spinor
+    component to the other (no V0/V3 term) is block off-diagonal: its
     eigenvalues are +-sigma of the lower block (one half-size SVD instead of
     the full eigensolve) and its singular values are those of its two blocks
     (two half-size SVDs).  When ``n_bands`` is given, the values of smallest
@@ -192,7 +210,11 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
         use_eigen = hermitian if mode == "auto" else (mode == "eigen")
         n = coeffs.grid.n_modes
         off_diagonal = all(i != j for i, j, _, _ in op.factors[0])
-        if use_eigen and off_diagonal:
+        if (blocks := op.mode_blocks) is not None:
+            # Constant coefficients: the 2x2 block of every mode (halved as below).
+            vals = np.sort((np.linalg.eigvalsh(0.5 * blocks + 0.5 * blocks.conj().swapaxes(1, 2))
+                            if use_eigen else np.linalg.svd(blocks, compute_uv=False)).ravel())
+        elif use_eigen and off_diagonal:
             # No V0/V3 term: the Hermitian part is [[0, B^H], [B, 0]], whose
             # eigenvalues are +-sigma(B).  Here and below each term is halved
             # before the sum (exact), so entries near the float limit do not
@@ -209,15 +231,16 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
             vals = np.sort(scipy.linalg.svdvals(op.matrix))
         if n_bands is not None:
             vals = _cut_bands(vals, n_bands)
-        return vals, defect, use_eigen
+        return vals, defect, use_eigen, fiber_route(op)
 
     results = [one(k) for k in kgrid]
     values = np.array([r[0] for r in results])
     defect = max(r[1] for r in results)
     used_eigen = all(r[2] for r in results)
+    routes = [r[3] for r in results]
     return BandTable(kpoints=kgrid, values=values,
-                     mode="eigen" if used_eigen else "singular",
-                     hermitian_defect=defect)
+                     mode="eigen" if used_eigen else "singular", hermitian_defect=defect,
+                     routes={r: routes.count(r) for r in ROUTES})
 
 
 def _dense(block) -> np.ndarray:
@@ -273,6 +296,7 @@ class SweepReport:
     flagged: np.ndarray           # bool, sigma_min below the certificate floor
     floor_log_intercept: float | None
     floor_log_slope: float | None
+    routes: dict                  # fibers per route (see :func:`fiber_route`)
 
     def rows(self):
         for i, mu in enumerate(self.config.mu_grid):
@@ -308,10 +332,12 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         mu, k2 = task
         k = np.array([sweep.k1, k2]) + kp
         kap = mu * e + cp
-        z = ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1]))
-        return smallest_singular_value(assemble_dirac(coeffs, V, z))
+        op = assemble_dirac(coeffs, V, ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1])))
+        return smallest_singular_value(op), fiber_route(op)
 
-    sigma = np.reshape([one(t) for t in tasks], (len(sweep.mu_grid), len(sweep.k2_grid)))
+    results = [one(t) for t in tasks]
+    routes = [r[1] for r in results]
+    sigma = np.reshape([r[0] for r in results], (len(sweep.mu_grid), len(sweep.k2_grid)))
     min_per_mu = sigma.min(axis=1)
     flagged = min_per_mu < TOLERANCES["sigma_min_flag"]
 
@@ -322,7 +348,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])
     return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu,
                        flagged=flagged, floor_log_intercept=intercept,
-                       floor_log_slope=slope)
+                       floor_log_slope=slope, routes={r: routes.count(r) for r in ROUTES})
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,18 @@ class TruncatedOperator:
         return self._csr[0]
 
     @property
+    def mode_blocks(self) -> np.ndarray | None:
+        """The (n_modes, nc, nc) per-mode blocks of a band-limited operator whose
+        fields are all constant (each mode then maps only to itself), read from
+        ``sparse`` so the entries keep its bits; None for any other operator."""
+        if not self.band_limited or any(f.band_radius for _, _, f, _ in self.factors[0]):
+            return None
+        a, n, nc = self.sparse.tocoo(), self.grid.n_modes, self.n_components
+        blocks = np.zeros((n, nc, nc), dtype=np.complex128)
+        blocks[a.row % n, a.row // n, a.col // n] = a.data
+        return blocks
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense Galerkin matrix (cached): ``sparse.toarray()`` for a band-limited
         operator, else :meth:`columns` over every column; the two agree bit for bit."""

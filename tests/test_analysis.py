@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import dirac2d as d
-from dirac2d.analysis import power_moments
+from dirac2d.analysis import fiber_route, power_moments
 
 
 def constant_set(m=4):
@@ -25,6 +25,18 @@ def random_set(m=4, seed=0, **kw):
     grid = d.FourierGrid(m, 2 * (2 * m + 1))
     rng = np.random.default_rng(seed)
     return grid, d.random_gamma_instance(grid, rng, **kw), rng
+
+
+def forbid_full_size_solves(monkeypatch):
+    """Make any eigvalsh, svdvals, splu or zgetrf of a matrix fail; batched
+    calls on a stack of per-mode blocks (ndim 3) pass through."""
+    for owner, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "svdvals"),
+                        (scipy.sparse.linalg, "splu"), (scipy.linalg.lapack, "zgetrf")):
+        def guarded(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
+            if np.ndim(a) == 2:
+                raise AssertionError(f"full-size {_name} of shape {a.shape}")
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(owner, name, guarded)
 
 
 def free_oracle(grid, k):
@@ -182,14 +194,25 @@ class TestBandStructure:
             assert np.max(np.abs(vals - full)) <= 1e-12
 
     def test_diagonal_potential_keeps_eigvalsh(self, monkeypatch):
+        # Constant coefficients and potential: the bands are still eigvalsh
+        # values, from one batched call on the per-mode 2x2 blocks per fiber
+        # and never from a full-size eigvalsh, svdvals, splu or zgetrf.
         grid, cs = constant_set(3)
-        calls = self.count_eigvalsh(monkeypatch)
         kgrid = [[0.0, 0.0], [0.5, 0.2], [1.0, 2.0]]
-        d.band_structure(cs, d.MatrixPotential.diagonal(grid, v0=0.2), kgrid)
-        d.band_structure(cs, d.MatrixPotential.diagonal(grid, v3=0.3), kgrid)
-        assert calls == [(2 * grid.n_modes, 2 * grid.n_modes)] * 6
-        d.band_structure(cs, None, kgrid)
-        assert len(calls) == 6
+        potentials = (d.MatrixPotential.diagonal(grid, v0=0.2),
+                      d.MatrixPotential.diagonal(grid, v3=0.3), None)
+        refs = []
+        for V in potentials:
+            mats = [d.assemble_dirac(cs, V, k).matrix for k in kgrid]
+            refs.append([scipy.linalg.eigvalsh(0.5 * (a + a.conj().T)) for a in mats])
+        forbid_full_size_solves(monkeypatch)
+        calls = self.count_eigvalsh(monkeypatch)
+        for V, ref in zip(potentials, refs):
+            table = d.band_structure(cs, V, kgrid)
+            assert table.mode == "eigen"
+            assert table.routes == {"per-mode": 3, "sparse": 0, "dense": 0}
+            assert np.max(np.abs(table.values - np.array(ref))) <= 1e-12
+        assert calls == [(grid.n_modes, 2, 2)] * 9
 
 
 class TestSweep:
@@ -349,12 +372,19 @@ class TestSparseRoute:
         z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2),
                                    (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1)))
         ops += [d.assemble_dirac(cs, None, z), d.assemble_dirac(cs, mass, z)]
+        # The constant fiber reads its per-mode blocks: no full-size solve.
+        with monkeypatch.context() as mp:
+            forbid_full_size_solves(mp)
+            sparse = [d.smallest_singular_value(ops[0])]
         calls = count_splu(monkeypatch)
-        sparse = [d.smallest_singular_value(op) for op in ops]
-        assert all(op.band_limited for op in ops) and len(calls) == len(ops)
+        sparse += [d.smallest_singular_value(op) for op in ops[1:]]
+        assert [fiber_route(op) for op in ops] == ["per-mode", "sparse", "sparse"]
+        assert len(calls) == 2
+        # Without band_limited every fiber, the constant one too, takes dense LU.
         monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
+        assert [fiber_route(op) for op in ops] == ["dense"] * 3
         dense = [d.smallest_singular_value(op) for op in ops]
-        assert len(calls) == len(ops)
+        assert len(calls) == 2
         for op, s, lu in zip(ops, sparse, dense):
             ref = scipy.linalg.svdvals(op.matrix)[-1]
             assert abs(s - lu) <= 1e-12 * lu
@@ -379,6 +409,77 @@ class TestSparseRoute:
             scipy.linalg.svdvals(op.matrix)[-1], rel=1e-12)
         d.estimate_c1_c2(cs, (np.pi, 0.3), 2 * np.pi)
         d.band_structure(cs, None, [[0.3, 0.2]])
+
+
+class TestPerModeRoute:
+    """Constant coefficients and potential: every mode is its own 2x2 block."""
+
+    @pytest.mark.parametrize("v0", [0.0, 0.2])
+    def test_mass_bands_match_closed_form(self, monkeypatch, v0):
+        # V0 + m sigma_3: eigenvalues V0 +- sqrt(|k + 2 pi N|^2 + m^2).
+        grid, cs = constant_set(8)
+        m = 0.3
+        kgrid = d.brillouin_grid(8, 8)
+        forbid_full_size_solves(monkeypatch)
+        table = d.band_structure(cs, d.MatrixPotential.diagonal(grid, v0=v0, v3=m), kgrid)
+        assert table.mode == "eigen" and table.routes["per-mode"] == len(kgrid)
+        for kp, vals in zip(table.kpoints, table.values):
+            mags = np.hypot(kp[0] + 2 * np.pi * grid.n1, kp[1] + 2 * np.pi * grid.n2)
+            branch = np.sqrt(mags**2 + m**2)
+            oracle = np.sort(np.concatenate([v0 - branch, v0 + branch]))
+            assert np.max(np.abs(vals - oracle)) <= 1e-13
+
+    def test_singular_mode_with_complex_v1_v2(self, monkeypatch):
+        grid = d.FourierGrid(4, 18)
+        cs = d.CoefficientSet.constant(grid, g=1.3, h=0.8, f=0.2)
+        const = lambda v: d.PeriodicScalarField.constant(grid, v)  # noqa: E731
+        V = d.MatrixPotential(const(0.1 - 0.2j), const(0.3 + 0.2j), const(-0.1 + 0.4j),
+                              const(0.05j))
+        kgrid = np.random.default_rng(5).uniform(0.0, 2 * np.pi, size=(3, 2))
+        refs = [np.sort(scipy.linalg.svdvals(d.assemble_dirac(cs, V, k).matrix)) for k in kgrid]
+        forbid_full_size_solves(monkeypatch)
+        table = d.band_structure(cs, V, kgrid, mode="singular")
+        assert table.routes == {"per-mode": 3, "sparse": 0, "dense": 0}
+        assert np.max(np.abs(table.values - np.array(refs))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_sigma_min_at_complex_k(self, monkeypatch, m):
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(40 + m)
+        cs = d.CoefficientSet.constant(grid, g=1.1, h=0.9, f=0.3)
+        mass = d.MatrixPotential.diagonal(grid, v0=0.1, v3=0.3)
+        ops = [d.assemble_dirac(cs, V, d.ComplexQuasimomentum(
+                   rng.uniform(0, 2 * np.pi, 2), (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1))))
+               for V in (None, mass) for _ in range(3)]
+        refs = [scipy.linalg.svdvals(op.matrix)[-1] for op in ops]
+        forbid_full_size_solves(monkeypatch)
+        for op, ref in zip(ops, refs):
+            assert fiber_route(op) == "per-mode"
+            assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_equivalence_constants_are_one(self, monkeypatch):
+        _, cs = constant_set(6)
+        forbid_full_size_solves(monkeypatch)
+        for k, mu in (((np.pi, 0.3), 0.0), ((0.9, 0.4), 2 * np.pi), ((np.pi, 0.0), 16 * np.pi)):
+            c1, c2 = d.estimate_c1_c2(cs, k, mu)
+            assert abs(c1 - 1.0) <= 1e-12 and abs(c2 - 1.0) <= 1e-12
+
+    def test_one_nonconstant_field_keeps_splu_and_eigvalsh(self, monkeypatch):
+        # A band-limited V3 of band radius 1: the fiber keeps the sparse routes.
+        grid, cs = constant_set(4)
+        rng = np.random.default_rng(3)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        V = d.MatrixPotential(zero, zero, zero, d.random_trig_field(grid, rng, 1, 0.3))
+        op = d.assemble_dirac(cs, V, d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))
+        assert op.band_limited and op.mode_blocks is None and fiber_route(op) == "sparse"
+        ref = scipy.linalg.svdvals(op.matrix)[-1]
+        splu_calls = count_splu(monkeypatch)
+        eigvalsh_calls = TestBandStructure.count_eigvalsh(monkeypatch)
+        assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
+        table = d.band_structure(cs, V, [[0.3, 0.2]])
+        assert table.routes == {"per-mode": 0, "sparse": 1, "dense": 0}
+        assert splu_calls == [(op.dim, op.dim)]
+        assert eigvalsh_calls == [(op.dim, op.dim)]
 
 
 class TestPotentialProfile:

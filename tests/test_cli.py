@@ -22,6 +22,7 @@ from dirac2d.cli import SCHEMA, main
 
 REPO = Path(__file__).resolve().parents[1]
 FREE_CONFIG = REPO / "configs" / "constant_free.yaml"
+SIGMA3_CONFIG = REPO / "configs" / "constant_sigma3.yaml"
 VARIABLE_CONFIG = REPO / "configs" / "variable_smooth.yaml"
 
 
@@ -77,6 +78,21 @@ class TestBands:
         assert set(manifest["defaults"]) >= set(map(str, d.DEFAULTS))
         assert "bands.csv" in manifest["outputs"]
         assert manifest["seed"] == 1234
+
+
+    @pytest.mark.parametrize("config,per_mode", [(SIGMA3_CONFIG, True),
+                                                 (VARIABLE_CONFIG, False)])
+    @pytest.mark.parametrize("sub,fibers", [("bands", 4), ("sweep", 2)])
+    def test_summary_counts_fibers_per_route(self, tmp_path, sub, fibers, config, per_mode):
+        out = tmp_path / "out"
+        assert run(sub, "--config", config, "--out", out,
+                   "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+                   "--set", "bands.k_grid={n1: 2, n2: 2}",
+                   "--set", "sweep.mu_grid={start: 0.0, stop: 6.0, count: 2}",
+                   "--set", "sweep.k2_grid=[0.0]") == 0
+        counts = (fibers, 0) if per_mode else (0, fibers)
+        line = "fiber routes: per-mode {}, sparse {}, dense 0\n".format(*counts)
+        assert line in (out / "summary.txt").read_text()
 
 
 class TestGauge:
@@ -251,9 +267,8 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    f"sweep.k2_grid=[{10**400}]", "workers=3", "workers=true"}
 
 
-@pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
-def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
-    code = run(sub, "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+def check_edge_config(config, tmp_path, capsys, sub, assignment):
+    code = run(sub, "--config", config, "--out", tmp_path / "o",
                "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
                "--set", assignment)
     err = capsys.readouterr().err
@@ -263,6 +278,17 @@ def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
     if assignment in SCHEMA_REJECTED:
         assert code == 2
         assert assignment.split("=")[0] in err
+
+
+@pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
+def test_edge_config_exits_cleanly(tmp_path, capsys, sub, assignment):
+    check_edge_config(VARIABLE_CONFIG, tmp_path, capsys, sub, assignment)
+
+
+@pytest.mark.parametrize("sub,assignment", EDGE_CONFIGS)
+def test_edge_config_exits_cleanly_on_constant_fibers(tmp_path, capsys, sub, assignment):
+    # Constant coefficients and potential take the per-mode route.
+    check_edge_config(SIGMA3_CONFIG, tmp_path, capsys, sub, assignment)
 
 
 @pytest.mark.parametrize("assignment", ["potential.V1={constant: 1e308}",
@@ -286,6 +312,20 @@ def test_bands_near_the_float_limit_exit_cleanly(tmp_path, capsys, component):
                "--set", f"potential.{component}={{constant: 1e308}}")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["bands", "sweep"])
+@pytest.mark.parametrize("component", ["V0", "V1", "V2", "V3"])
+def test_constant_fibers_near_the_float_limit_stay_finite(tmp_path, capsys, sub, component):
+    # The per-mode route halves the Hermitian part like the full-size routes.
+    out = tmp_path / "o"
+    code = run(sub, "--config", SIGMA3_CONFIG, "--out", out,
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", f"potential.{component}={{constant: 1e308}}")
+    assert code == 0 and capsys.readouterr().err == ""
+    _, rows = read_csv(out / f"{sub}.csv")
+    values = np.array([float(r[-1]) for r in rows])
+    assert np.all(np.isfinite(values)) and np.max(np.abs(values)) > 1e307
 
 
 @pytest.mark.parametrize("n_max", ["'8.0'", "8.0", "'8'"])
