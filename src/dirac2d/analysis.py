@@ -16,15 +16,13 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
-Fiber solves use the fiber's structure (:func:`fiber_route`).  Constant
-coefficients and potential, as in the free reference operator, make each
-Fourier mode its own 2x2 block (1x1 for d_pm): bands, sigma_min and the
-equivalence constants are then batched per-mode solves.  Otherwise a sweep
-point is factored once (sparse LU when its fields are band-limited, dense LU
-otherwise) and sigma_min read off by Lanczos on the LU solves of
-(A^H A)^{-1}, as are the equivalence constants; a Hermitian fiber without
-diagonal blocks gets its bands as +-sigma of one off-diagonal block (see
-:func:`smallest_singular_value`, :func:`band_structure`).
+Fiber solves use the fiber's structure (:func:`fiber_route`).  With constant
+coefficients and potential (the free reference operator) each mode is its own
+2x2 block, and bands, sigma_min and the equivalence constants are batched
+per-mode solves.  Else a sweep point or d_pm is factored once (sparse LU when
+band-limited, dense LU otherwise) and sigma_min read off by Lanczos on the LU
+solves of (A^H A)^{-1}; a Hermitian fiber without diagonal blocks gets its
+bands as +-sigma of one off-diagonal block (:func:`band_structure`).
 
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
@@ -87,20 +85,17 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-ROUTES = ("per-mode", "sparse", "dense")
-
-
 def fiber_route(op: TruncatedOperator) -> str:
-    """Which form of ``op`` the fiber solves read, one of ``ROUTES``: the per-mode
-    blocks, the CSR form (``splu``) or the dense matrix (``zgetrf``)."""
-    return "per-mode" if op.mode_blocks is not None else "sparse" if op.band_limited else "dense"
+    """The route of :func:`smallest_singular_value` on ``op``, set by its fields
+    alone: ``per-mode`` (its blocks), ``sparse LU`` (``splu``) or ``dense LU``."""
+    return ("per-mode" if op.mode_blocks is not None
+            else "sparse LU" if op.band_limited else "dense LU")
 
 
 def smallest_singular_value(op: TruncatedOperator) -> float:
-    """sigma_min of a truncated operator: the least over the per-mode blocks'
-    SVDs for constant coefficients (0.0 for an exactly zero block), else A is
-    factored once (``splu`` of the CSR form when the operator is
-    band-limited, else ``zgetrf``) and seeded Lanczos
+    """sigma_min of a truncated operator: the least per-mode block singular
+    value for constant coefficients, else A is factored once (``splu`` of the
+    CSR form when band-limited, else ``zgetrf``) and seeded Lanczos
     (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
     lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
@@ -109,8 +104,8 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     fibers take the dense route, which holds 16 dim^2 bytes (about 1 GiB at
     M = 32) and as much again in LU factors.
     """
-    if op.mode_blocks is not None:
-        return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
+    if (blocks := op.mode_blocks) is not None:
+        return float(np.linalg.svd(blocks, compute_uv=False).min())
     # inverse_gram(v) = (A^H A)^{-1} v: solve A^H y = v, then A x = y.
     if op.band_limited:
         try:
@@ -166,7 +161,7 @@ class BandTable:
     values: np.ndarray            # (n_k, n_sel) sorted ascending per row
     mode: str                     # "eigen" or "singular"
     hermitian_defect: float       # worst |A - A^H| entry over the grid
-    routes: dict                  # fibers per route (see :func:`fiber_route`)
+    route: str                    # "per-mode" or "dense LAPACK", the same for every fiber
 
     def rows(self):
         """(k1, k2, index, value) records in deterministic order."""
@@ -231,16 +226,14 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
             vals = np.sort(scipy.linalg.svdvals(op.matrix))
         if n_bands is not None:
             vals = _cut_bands(vals, n_bands)
-        return vals, defect, use_eigen, fiber_route(op)
+        return vals, defect, use_eigen, "dense LAPACK" if blocks is None else "per-mode"
 
     results = [one(k) for k in kgrid]
     values = np.array([r[0] for r in results])
     defect = max(r[1] for r in results)
     used_eigen = all(r[2] for r in results)
-    routes = [r[3] for r in results]
-    return BandTable(kpoints=kgrid, values=values,
-                     mode="eigen" if used_eigen else "singular", hermitian_defect=defect,
-                     routes={r: routes.count(r) for r in ROUTES})
+    return BandTable(kpoints=kgrid, values=values, mode="eigen" if used_eigen else "singular",
+                     hermitian_defect=defect, route=results[0][3])
 
 
 def _dense(block) -> np.ndarray:
@@ -296,7 +289,7 @@ class SweepReport:
     flagged: np.ndarray           # bool, sigma_min below the certificate floor
     floor_log_intercept: float | None
     floor_log_slope: float | None
-    routes: dict                  # fibers per route (see :func:`fiber_route`)
+    route: str                    # :func:`fiber_route` of every point
 
     def rows(self):
         for i, mu in enumerate(self.config.mu_grid):
@@ -317,11 +310,11 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
                     sweep: SweepConfig) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
-    Each point is one LU factorization and a Lanczos run on its solves
-    (:func:`smallest_singular_value`).  A value below the certificate floor is
-    flagged (a potential eigenvalue certificate failure), never raised; a
-    log-linear floor is fitted to the per-mu_tilde minima when all are positive
-    and there are at least two distinct mu_tilde values.
+    Each point is one :func:`smallest_singular_value`.  A value below the
+    certificate floor, or NaN, is flagged (a potential eigenvalue certificate
+    failure), never raised; a log-linear floor is fitted to the per-mu_tilde
+    minima when all are positive and there are at least two distinct mu_tilde
+    values.
     """
     e = np.asarray(sweep.direction, dtype=float)
     kp = np.asarray(sweep.k_prime, dtype=float)
@@ -336,10 +329,9 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         return smallest_singular_value(op), fiber_route(op)
 
     results = [one(t) for t in tasks]
-    routes = [r[1] for r in results]
     sigma = np.reshape([r[0] for r in results], (len(sweep.mu_grid), len(sweep.k2_grid)))
     min_per_mu = sigma.min(axis=1)
-    flagged = min_per_mu < TOLERANCES["sigma_min_flag"]
+    flagged = ~(min_per_mu >= TOLERANCES["sigma_min_flag"])
 
     intercept = slope = None
     if np.all(min_per_mu > 0) and len(set(sweep.mu_grid)) >= 2:
@@ -348,7 +340,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])
     return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu,
                        flagged=flagged, floor_log_intercept=intercept,
-                       floor_log_slope=slope, routes={r: routes.count(r) for r in ROUTES})
+                       floor_log_slope=slope, route=results[0][1])
 
 
 # ---------------------------------------------------------------------------

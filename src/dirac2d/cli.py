@@ -404,7 +404,7 @@ def run_bands(ctx: RunContext) -> int:
     }, [
         f"fibers: {len(table.kpoints)}; values per fiber: {table.values.shape[1]}",
         f"spectral mode: {table.mode} (hermitian defect {table.hermitian_defect:.3e})",
-        "fiber routes: " + ", ".join(f"{r} {n}" for r, n in table.routes.items()),
+        f"fiber route: {table.route}",
         "outputs: bands.csv",
     ])
     return 0
@@ -443,7 +443,7 @@ def run_sweep(ctx: RunContext) -> int:
         f"direction e = {sweep.direction}",
         f"global sigma_min = {report.min_per_mu.min():.6e}",
         f"flagged points (< {TOLERANCES['sigma_min_flag']:g}): {int(np.count_nonzero(report.flagged))}",
-        "fiber routes: " + ", ".join(f"{r} {n}" for r, n in report.routes.items()),
+        f"fiber route: {report.route}",
         "outputs: sweep.csv sweep_min.csv",
     ])
     return 0

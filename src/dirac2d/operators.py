@@ -55,7 +55,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
-from .errors import GaugeOverflowError, GridMismatchError
+from .errors import GaugeOverflowError, GridMismatchError, InadmissibleParameterError
 from .fourier import (
     CoefficientSet,
     FourierGrid,
@@ -306,6 +306,10 @@ class TruncatedOperator:
         ``sparse`` so the entries keep its bits; None for any other operator."""
         if not self.band_limited or any(f.band_radius for _, _, f, _ in self.factors[0]):
             return None
+        return self._mode_blocks
+
+    @cached_property
+    def _mode_blocks(self) -> np.ndarray:
         a, n, nc = self.sparse.tocoo(), self.grid.n_modes, self.n_components
         blocks = np.zeros((n, nc, nc), dtype=np.complex128)
         blocks[a.row % n, a.row // n, a.col // n] = a.data
@@ -385,18 +389,22 @@ def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z, *,
     """The two-component fiber [[0, d_-(z)], [d_+(z), 0]] + potential blocks.
 
     The potential adds [[V0+V3, V1-iV2], [V1+iV2, V0-V3]] as convolution
-    blocks; ``mu`` adds the i mu H shift to both off-diagonal entries.
+    blocks (one that overflows is inadmissible); ``mu`` adds i mu H off-diagonal.
     """
     grid = coeffs.grid
     terms = _dpm_terms(coeffs, z, mu, "-", 0, 1) + _dpm_terms(coeffs, z, mu, "+", 1, 0)
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = (("V1 - iV2", 0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
+                      ("V1 + iV2", 1, 0, V.v1.coeffs + 1j * V.v2.coeffs),
+                      ("V0 + V3", 0, 0, V.v0.coeffs + V.v3.coeffs),
+                      ("V0 - V3", 1, 1, V.v0.coeffs - V.v3.coeffs))
         # An identically zero component adds no term.
-        for i, j, coeffs_ij in ((0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
-                                (1, 0, V.v1.coeffs + 1j * V.v2.coeffs),
-                                (0, 0, V.v0.coeffs + V.v3.coeffs),
-                                (1, 1, V.v0.coeffs - V.v3.coeffs)):
+        for name, i, j, coeffs_ij in blocks:
+            if not np.all(np.isfinite(coeffs_ij)):
+                raise InadmissibleParameterError(f"potential block {name} overflows")
             if np.any(coeffs_ij):
                 terms.append((i, j, PeriodicScalarField(grid, coeffs_ij), None))
     return TruncatedOperator(grid, 2, [terms])

@@ -39,6 +39,15 @@ def forbid_full_size_solves(monkeypatch):
         monkeypatch.setattr(owner, name, guarded)
 
 
+def force_route(monkeypatch, route):
+    """Send constant fibers down a Lanczos route: no per-mode blocks for
+    ``sparse LU``, and no band-limited form either for ``dense LU``."""
+    if route != "per-mode":
+        monkeypatch.setattr(d.TruncatedOperator, "mode_blocks", property(lambda op: None))
+    if route == "dense LU":
+        monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
+
+
 def free_oracle(grid, k):
     mags = np.hypot(k[0] + 2 * np.pi * grid.n1, k[1] + 2 * np.pi * grid.n2)
     return np.sort(np.concatenate([mags, -mags]))
@@ -210,7 +219,7 @@ class TestBandStructure:
         for V, ref in zip(potentials, refs):
             table = d.band_structure(cs, V, kgrid)
             assert table.mode == "eigen"
-            assert table.routes == {"per-mode": 3, "sparse": 0, "dense": 0}
+            assert table.route == "per-mode"
             assert np.max(np.abs(table.values - np.array(ref))) <= 1e-12
         assert calls == [(grid.n_modes, 2, 2)] * 9
 
@@ -226,11 +235,24 @@ class TestSweep:
 
     def test_lattice_point_kernel(self):
         # At k in 2 pi Z^2 with no shift the fiber annihilates constants: the
-        # constant mode's column is exactly zero, so LU meets a zero pivot and
-        # sigma_min is exactly 0, with no warning.
+        # constant mode's column is exactly zero, so its per-mode block is zero
+        # (and LU would meet a zero pivot) and sigma_min is exactly 0, with no
+        # warning.
         _, cs = constant_set(3)
         op = d.assemble_dirac(cs, None, (0.0, 0.0))
         assert scipy.linalg.lapack.zgetrf(op.matrix)[2] > 0
+        assert fiber_route(op) == "per-mode"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.smallest_singular_value(op) == 0.0
+
+    @pytest.mark.parametrize("route", ["sparse LU", "dense LU"])
+    def test_lattice_point_kernel_zero_pivot(self, monkeypatch, route):
+        # The same fiber forced through LU: splu or zgetrf meets the zero pivot.
+        _, cs = constant_set(3)
+        op = d.assemble_dirac(cs, None, (0.0, 0.0))
+        force_route(monkeypatch, route)
+        assert fiber_route(op) == route
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert d.smallest_singular_value(op) == 0.0
@@ -261,6 +283,7 @@ class TestSweep:
         assert worst <= 1e-12
 
     def test_sigma_min_near_lattice_and_degenerate(self):
+        # The free fibers take the per-mode route (see the Lanczos variant below).
         _, free = constant_set(8)
         _, gamma, _ = random_set(6, seed=9)
         cases = [(cs, (t, 0.5 * t)) for cs in (free, gamma) for t in (1e-9, 1e-6)]
@@ -271,6 +294,28 @@ class TestSweep:
             ref = scipy.linalg.svdvals(op.matrix)[-1]
             assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
         assert ref == pytest.approx(np.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("route", ["sparse LU", "dense LU"])
+    def test_free_sigma_min_on_lanczos_routes(self, monkeypatch, route):
+        # The free fibers of the test above forced through LU + Lanczos, the
+        # 4-fold degenerate sigma_min = pi at k1 = pi included.
+        _, free = constant_set(8)
+        ops = [d.assemble_dirac(free, None, k)
+               for k in ((1e-9, 5e-10), (1e-6, 5e-7), (np.pi, 0.0))]
+        refs = [scipy.linalg.svdvals(op.matrix)[-1] for op in ops]
+        force_route(monkeypatch, route)
+        for op, ref in zip(ops, refs):
+            assert fiber_route(op) == route
+            assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
+        assert refs[-1] == pytest.approx(np.pi, abs=1e-12)
+
+    def test_nan_sigma_min_is_flagged(self, monkeypatch):
+        # A NaN minimum compares false with the floor; it must still be flagged.
+        _, cs = constant_set(3)
+        monkeypatch.setattr(d.analysis, "smallest_singular_value", lambda op: float("nan"))
+        rep = d.sigma_min_sweep(cs, None, d.SweepConfig(mu_grid=(0.0, 1.0), k2_grid=(0.0,)))
+        assert np.all(np.isnan(rep.min_per_mu)) and rep.flagged.tolist() == [True, True]
+        assert rep.floor_log_intercept is None
 
     def test_sweep_repeats_bytes(self):
         _, cs, _ = random_set(seed=6)
@@ -378,11 +423,11 @@ class TestSparseRoute:
             sparse = [d.smallest_singular_value(ops[0])]
         calls = count_splu(monkeypatch)
         sparse += [d.smallest_singular_value(op) for op in ops[1:]]
-        assert [fiber_route(op) for op in ops] == ["per-mode", "sparse", "sparse"]
+        assert [fiber_route(op) for op in ops] == ["per-mode", "sparse LU", "sparse LU"]
         assert len(calls) == 2
         # Without band_limited every fiber, the constant one too, takes dense LU.
         monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
-        assert [fiber_route(op) for op in ops] == ["dense"] * 3
+        assert [fiber_route(op) for op in ops] == ["dense LU"] * 3
         dense = [d.smallest_singular_value(op) for op in ops]
         assert len(calls) == 2
         for op, s, lu in zip(ops, sparse, dense):
@@ -422,7 +467,7 @@ class TestPerModeRoute:
         kgrid = d.brillouin_grid(8, 8)
         forbid_full_size_solves(monkeypatch)
         table = d.band_structure(cs, d.MatrixPotential.diagonal(grid, v0=v0, v3=m), kgrid)
-        assert table.mode == "eigen" and table.routes["per-mode"] == len(kgrid)
+        assert table.mode == "eigen" and table.route == "per-mode"
         for kp, vals in zip(table.kpoints, table.values):
             mags = np.hypot(kp[0] + 2 * np.pi * grid.n1, kp[1] + 2 * np.pi * grid.n2)
             branch = np.sqrt(mags**2 + m**2)
@@ -439,7 +484,7 @@ class TestPerModeRoute:
         refs = [np.sort(scipy.linalg.svdvals(d.assemble_dirac(cs, V, k).matrix)) for k in kgrid]
         forbid_full_size_solves(monkeypatch)
         table = d.band_structure(cs, V, kgrid, mode="singular")
-        assert table.routes == {"per-mode": 3, "sparse": 0, "dense": 0}
+        assert table.route == "per-mode"
         assert np.max(np.abs(table.values - np.array(refs))) <= 1e-12
 
     @pytest.mark.parametrize("m", [3, 6])
@@ -471,13 +516,13 @@ class TestPerModeRoute:
         zero = d.PeriodicScalarField.constant(grid, 0.0)
         V = d.MatrixPotential(zero, zero, zero, d.random_trig_field(grid, rng, 1, 0.3))
         op = d.assemble_dirac(cs, V, d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))
-        assert op.band_limited and op.mode_blocks is None and fiber_route(op) == "sparse"
+        assert op.band_limited and op.mode_blocks is None and fiber_route(op) == "sparse LU"
         ref = scipy.linalg.svdvals(op.matrix)[-1]
         splu_calls = count_splu(monkeypatch)
         eigvalsh_calls = TestBandStructure.count_eigvalsh(monkeypatch)
         assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
         table = d.band_structure(cs, V, [[0.3, 0.2]])
-        assert table.routes == {"per-mode": 0, "sparse": 1, "dense": 0}
+        assert table.route == "dense LAPACK"
         assert splu_calls == [(op.dim, op.dim)]
         assert eigvalsh_calls == [(op.dim, op.dim)]
 

@@ -80,19 +80,18 @@ class TestBands:
         assert manifest["seed"] == 1234
 
 
-    @pytest.mark.parametrize("config,per_mode", [(SIGMA3_CONFIG, True),
-                                                 (VARIABLE_CONFIG, False)])
-    @pytest.mark.parametrize("sub,fibers", [("bands", 4), ("sweep", 2)])
-    def test_summary_counts_fibers_per_route(self, tmp_path, sub, fibers, config, per_mode):
+    @pytest.mark.parametrize("config,sub,route", [(SIGMA3_CONFIG, "bands", "per-mode"),
+                                                  (SIGMA3_CONFIG, "sweep", "per-mode"),
+                                                  (VARIABLE_CONFIG, "bands", "dense LAPACK"),
+                                                  (VARIABLE_CONFIG, "sweep", "sparse LU")])
+    def test_summary_names_the_fiber_route(self, tmp_path, config, sub, route):
         out = tmp_path / "out"
         assert run(sub, "--config", config, "--out", out,
                    "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
                    "--set", "bands.k_grid={n1: 2, n2: 2}",
                    "--set", "sweep.mu_grid={start: 0.0, stop: 6.0, count: 2}",
                    "--set", "sweep.k2_grid=[0.0]") == 0
-        counts = (fibers, 0) if per_mode else (0, fibers)
-        line = "fiber routes: per-mode {}, sparse {}, dense 0\n".format(*counts)
-        assert line in (out / "summary.txt").read_text()
+        assert f"fiber route: {route}\n" in (out / "summary.txt").read_text()
 
 
 class TestGauge:
@@ -326,6 +325,22 @@ def test_constant_fibers_near_the_float_limit_stay_finite(tmp_path, capsys, sub,
     _, rows = read_csv(out / f"{sub}.csv")
     values = np.array([float(r[-1]) for r in rows])
     assert np.all(np.isfinite(values)) and np.max(np.abs(values)) > 1e307
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config", [SIGMA3_CONFIG, VARIABLE_CONFIG])
+@pytest.mark.parametrize("sub", ["bands", "sweep"])
+@pytest.mark.parametrize("v3,block", [("1e308", "V0 + V3"), ("-1e308", "V0 - V3")])
+def test_overflowing_potential_block_is_inadmissible(tmp_path, capsys, config, sub, v3, block):
+    # V0 +- V3 overflows to inf: exit 4 naming the block, not an inf fiber whose
+    # per-mode SVD gives an unflagged NaN sigma_min.
+    code = run(sub, "--config", config, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", "potential.V0={constant: 1e308}",
+               "--set", f"potential.V3={{constant: {v3}}}")
+    err = capsys.readouterr().err
+    assert code == 4 and f"potential block {block} overflows" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n_max", ["'8.0'", "8.0", "'8'"])

@@ -149,6 +149,18 @@ class TestDiracBlocks:
         assert svals[-1] < 1e-12 and svals[-2] < 1e-12
         assert svals[-3] > 1e-3
 
+    def test_overflowing_potential_block_is_inadmissible(self):
+        grid, cs = constant_set(2)
+        big = d.PeriodicScalarField.constant(grid, 1e308)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        with np.errstate(all="raise"):
+            d.assemble_dirac(cs, d.MatrixPotential(big, big, big, zero), (0.3, 0.1))
+            with pytest.raises(d.InadmissibleParameterError, match="V0 \\+ V3"):
+                d.assemble_dirac(cs, d.MatrixPotential(big, zero, zero, big), (0.3, 0.1))
+            with pytest.raises(d.InadmissibleParameterError, match="V1 - iV2"):
+                imaginary = d.PeriodicScalarField.constant(grid, 1e308j)
+                d.assemble_dirac(cs, d.MatrixPotential(zero, big, imaginary, zero), (0.3, 0.1))
+
     def test_hermitian_constant_fiber(self):
         # Multiplication potentials are Hermitian for real components, and with
         # constant first-order coefficients the full fiber is self-adjoint.
