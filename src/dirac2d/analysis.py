@@ -16,13 +16,13 @@ truncated mode space.  Cesaro averages of the oscillatory integrals
 I_nu = int_K e^{2 pi i nu (Psi - x2)} W and the coercivity margin checks close
 the loop on the estimates used by the sweep argument.
 
-Fiber solves use the fiber's structure (:func:`fiber_route`).  With constant
-coefficients and potential (the free reference operator) each mode is its own
-2x2 block, and bands, sigma_min and the equivalence constants are batched
-per-mode solves.  Else a sweep point or d_pm is factored once (sparse LU when
-band-limited, dense LU otherwise) and sigma_min read off by Lanczos on the LU
-solves of (A^H A)^{-1}; a Hermitian fiber without diagonal blocks gets its
-bands as +-sigma of one off-diagonal block (:func:`band_structure`).
+Fiber solves follow the fiber's ``route`` (see :mod:`dirac2d.operators`).
+With constant coefficients and potential (the free reference operator) each
+mode is its own 2x2 block, and bands, sigma_min and the equivalence constants
+are batched per-mode solves.  Else a sweep point or d_pm is factored once
+(sparse or dense LU) and sigma_min read off by Lanczos on the LU solves of
+(A^H A)^{-1}; a Hermitian fiber without diagonal blocks gets its bands as
++-sigma of one off-diagonal block (:func:`band_structure`).
 
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
@@ -69,6 +69,7 @@ from .operators import (
     assemble_dirac,
     assemble_dpm,
     lanczos_lambda_max,
+    lu_solver,
     multiplication_operator,
 )
 
@@ -85,68 +86,43 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-def fiber_route(op: TruncatedOperator) -> str:
-    """The route of :func:`smallest_singular_value` on ``op``, set by its fields
-    alone: ``per-mode`` (its blocks), ``sparse LU`` (``splu``) or ``dense LU``."""
-    return ("per-mode" if op.mode_blocks is not None
-            else "sparse LU" if op.band_limited else "dense LU")
-
-
 def smallest_singular_value(op: TruncatedOperator) -> float:
-    """sigma_min of a truncated operator: the least per-mode block singular
-    value for constant coefficients, else A is factored once (``splu`` of the
-    CSR form when band-limited, else ``zgetrf``) and seeded Lanczos
+    """sigma_min of a truncated operator on its ``route``: the least per-mode
+    block singular value, else A is factored once
+    (:func:`~dirac2d.operators.lu_solver`) and seeded Lanczos
     (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
     lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
     singular in floating point and gives 0.0; if ARPACK fails (no convergence
-    or any other error) the value comes from a full SVD.  Only full-support
-    fibers take the dense route, which holds 16 dim^2 bytes (about 1 GiB at
-    M = 32) and as much again in LU factors.
+    or any other error) the value comes from a full SVD.  Only the dense route
+    holds the 16 dim^2-byte matrix (about 1 GiB at M = 32) and as much again
+    in LU factors.
     """
-    if (blocks := op.mode_blocks) is not None:
-        return float(np.linalg.svd(blocks, compute_uv=False).min())
-    # inverse_gram(v) = (A^H A)^{-1} v: solve A^H y = v, then A x = y.
-    if op.band_limited:
-        try:
-            lu = scipy.sparse.linalg.splu(op.sparse.tocsc())
-        except RuntimeError:  # SuperLU met an exactly zero pivot
-            return 0.0
-
-        def inverse_gram(v):
-            return lu.solve(lu.solve(v, trans="H"))
-    else:
-        lu, piv, info = scipy.linalg.lapack.zgetrf(op.matrix)
-        if info > 0:
-            return 0.0
-        solve = scipy.linalg.lapack.zgetrs
-
-        def inverse_gram(v):
-            return solve(lu, piv, solve(lu, piv, v, trans=2)[0])[0]
+    if op.route == "per-mode":
+        return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
+    solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse)
+    if solve is None:
+        return 0.0
     try:
-        lam = lanczos_lambda_max(inverse_gram, op.dim)
+        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+        lam = lanczos_lambda_max(lambda v: solve(solve(v, trans="H")), op.dim)
     except scipy.sparse.linalg.ArpackError:
         return float(scipy.linalg.svdvals(op.matrix)[-1])
     return float(1.0 / np.sqrt(lam))
 
 
 def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of a single-factor operator: the per-mode SVDs
-    for constant coefficients, for another band-limited one seeded Lanczos on
-    A^H A and :func:`smallest_singular_value`, else (or if Lanczos fails) ``svdvals``."""
-    blocks = op.mode_blocks
-    if blocks is None and op.band_limited:
-        a = op.sparse
-        adjoint = a.conj().T
-        try:
-            top = lanczos_lambda_max(lambda v: adjoint @ (a @ v), op.dim)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-        else:
-            return smallest_singular_value(op), float(np.sqrt(top))
-    s = (scipy.linalg.svdvals(op.matrix) if blocks is None
-         else np.linalg.svd(blocks, compute_uv=False))
-    return float(s.min()), float(s.max())
+    """(sigma_min, sigma_max): the per-mode SVDs on the ``per-mode`` route, else
+    :func:`smallest_singular_value` and seeded Lanczos on A^H A (``svdvals``
+    if Lanczos fails)."""
+    if op.route == "per-mode":
+        s = np.linalg.svd(op.mode_blocks, compute_uv=False)
+        return float(s.min()), float(s.max())
+    try:
+        top = float(np.sqrt(lanczos_lambda_max(lambda v: op.adjoint_apply(op.apply(v)), op.dim)))
+    except scipy.sparse.linalg.ArpackError:
+        top = float(scipy.linalg.svdvals(op.matrix)[0])
+    return smallest_singular_value(op), top
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +168,11 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
     if mode == "eigen" and V is not None and not V.is_hermitian():
         raise NonHermitianError("self-adjoint mode requested with a non-Hermitian potential")
 
-    def one(k):
+    values, defects, used_eigen = [], [], True
+    for k in kgrid:
         op = assemble_dirac(coeffs, V, (k[0], k[1]))
-        # A band-limited fiber stays sparse until a block goes to LAPACK.
-        a = op.sparse if op.band_limited else op.matrix
+        # A sparse-route fiber stays sparse until a block goes to LAPACK.
+        a = op.matrix if op.route == "dense LU" else op.sparse
         defect = float(abs(a - a.conj().T).max())
         scale = max(1.0, float(abs(a).max()))
         hermitian = defect <= TOLERANCES["hermitian"] * scale
@@ -205,8 +182,9 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
         use_eigen = hermitian if mode == "auto" else (mode == "eigen")
         n = coeffs.grid.n_modes
         off_diagonal = all(i != j for i, j, _, _ in op.factors[0])
-        if (blocks := op.mode_blocks) is not None:
+        if op.route == "per-mode":
             # Constant coefficients: the 2x2 block of every mode (halved as below).
+            blocks = op.mode_blocks
             vals = np.sort((np.linalg.eigvalsh(0.5 * blocks + 0.5 * blocks.conj().swapaxes(1, 2))
                             if use_eigen else np.linalg.svd(blocks, compute_uv=False)).ravel())
         elif use_eigen and off_diagonal:
@@ -224,16 +202,13 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
                                            scipy.linalg.svdvals(_dense(a[n:, :n]))]))
         else:
             vals = np.sort(scipy.linalg.svdvals(op.matrix))
-        if n_bands is not None:
-            vals = _cut_bands(vals, n_bands)
-        return vals, defect, use_eigen, "dense LAPACK" if blocks is None else "per-mode"
+        values.append(vals if n_bands is None else _cut_bands(vals, n_bands))
+        defects.append(defect)
+        used_eigen = used_eigen and use_eigen
 
-    results = [one(k) for k in kgrid]
-    values = np.array([r[0] for r in results])
-    defect = max(r[1] for r in results)
-    used_eigen = all(r[2] for r in results)
-    return BandTable(kpoints=kgrid, values=values, mode="eigen" if used_eigen else "singular",
-                     hermitian_defect=defect, route=results[0][3])
+    return BandTable(kpoints=kgrid, values=np.array(values),
+                     mode="eigen" if used_eigen else "singular", hermitian_defect=max(defects),
+                     route="per-mode" if op.route == "per-mode" else "dense LAPACK")
 
 
 def _dense(block) -> np.ndarray:
@@ -273,7 +248,6 @@ class SweepConfig:
     kappa_prime: tuple[float, float] = (0.0, 0.0)
     mu_grid: tuple = (0.0,)
     k2_grid: tuple = (0.0,)
-    k1: float = float(np.pi)
 
     def __post_init__(self):
         e = np.asarray(self.direction, dtype=float)
@@ -289,7 +263,7 @@ class SweepReport:
     flagged: np.ndarray           # bool, sigma_min below the certificate floor
     floor_log_intercept: float | None
     floor_log_slope: float | None
-    route: str                    # :func:`fiber_route` of every point
+    route: str                    # TruncatedOperator.route of every point
 
     def rows(self):
         for i, mu in enumerate(self.config.mu_grid):
@@ -319,17 +293,12 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     e = np.asarray(sweep.direction, dtype=float)
     kp = np.asarray(sweep.k_prime, dtype=float)
     cp = np.asarray(sweep.kappa_prime, dtype=float)
-    tasks = [(mu, k2) for mu in sweep.mu_grid for k2 in sweep.k2_grid]
-
-    def one(task):
-        mu, k2 = task
-        k = np.array([sweep.k1, k2]) + kp
-        kap = mu * e + cp
-        op = assemble_dirac(coeffs, V, ComplexQuasimomentum((k[0], k[1]), (kap[0], kap[1])))
-        return smallest_singular_value(op), fiber_route(op)
-
-    results = [one(t) for t in tasks]
-    sigma = np.reshape([r[0] for r in results], (len(sweep.mu_grid), len(sweep.k2_grid)))
+    sigma = np.empty((len(sweep.mu_grid), len(sweep.k2_grid)))
+    for i, mu in enumerate(sweep.mu_grid):
+        for j, k2 in enumerate(sweep.k2_grid):
+            z = ComplexQuasimomentum(np.array([np.pi, k2]) + kp, mu * e + cp)
+            op = assemble_dirac(coeffs, V, z)
+            sigma[i, j] = smallest_singular_value(op)
     min_per_mu = sigma.min(axis=1)
     flagged = ~(min_per_mu >= TOLERANCES["sigma_min_flag"])
 
@@ -340,7 +309,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])
     return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu,
                        flagged=flagged, floor_log_intercept=intercept,
-                       floor_log_slope=slope, route=results[0][1])
+                       floor_log_slope=slope, route=op.route)
 
 
 # ---------------------------------------------------------------------------

@@ -325,17 +325,19 @@ class RunContext:
             "schema": SCHEMA_VERSIONS["manifest"],
             "tool_version": __version__,
             "subcommand": self.subcommand,
-            "config": _jsonable(self.cfg),
+            # Round trip: YAML's number keys become text that sort_keys can order.
+            "config": json.loads(json.dumps(self.cfg, default=_json_default)),
             "seed": self.seed,
             "seed_policy": "numpy.default_rng(seed [+ fixed per-suite offsets])",
-            "tolerances": _jsonable(TOLERANCES),
-            "defaults": _jsonable(DEFAULTS),
+            "tolerances": TOLERANCES,
+            "defaults": DEFAULTS,
             "input_hashes": self.input_hashes,
             "outputs": {p.name: _sha256_file(p) for p in outputs},
-            "results": _jsonable({self.subcommand: results}),
+            "results": {self.subcommand: results},
         }
         (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",
+            encoding="utf-8")
         body = [f"dirac2d {self.subcommand}", f"seed: {self.seed}"] + lines
         (self.out_dir / "summary.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
 
@@ -365,22 +367,15 @@ def write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+def _json_default(obj):
+    """``json.dumps`` hook: numpy scalars and arrays as Python values, complex as {re, im}."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +407,7 @@ def run_bands(ctx: RunContext) -> int:
 
 def run_sweep(ctx: RunContext) -> int:
     coeffs, potential = ctx.coefficients, ctx.potential
-    k1 = ctx["sweep.k1"]
-    if abs(k1 - np.pi) > 1e-12:
+    if abs(ctx["sweep.k1"] - np.pi) > 1e-12:
         raise InadmissibleParameterError("the sweep line is pinned to k1 = pi")
     direction = ctx["sweep.direction"]
     if direction == "canonical":
@@ -424,7 +418,6 @@ def run_sweep(ctx: RunContext) -> int:
         kappa_prime=ctx["sweep.kappa_prime"],
         mu_grid=tuple(ctx["sweep.mu_grid"]),
         k2_grid=tuple(ctx["sweep.k2_grid"]),
-        k1=k1,
     )
     report = sigma_min_sweep(coeffs, potential, sweep)
 
@@ -467,7 +460,7 @@ def run_gauge(ctx: RunContext) -> int:
         "phi": field_to_records(canonical.phi, drop_zeros=True),
         "psi": field_to_records(canonical.psi, drop_zeros=True),
     }
-    out_json.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
+    out_json.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
                         encoding="utf-8")
     ctx.finish([out_phi, out_psi, out_json], {
         "kappa_tilde": list(canonical.kappa_tilde),
@@ -618,8 +611,8 @@ def run_verify(ctx: RunContext) -> int:
     checks = _verify_checks(ctx)
     out = ctx.out_dir / "verify.csv"
     write_csv(out, ["suite", "name", "value", "bound", "passed"],
-              [[c["suite"], c["name"], json.dumps(_jsonable(c["value"])),
-                json.dumps(_jsonable(c["bound"])), c["passed"]] for c in checks])
+              [[c["suite"], c["name"], json.dumps(c["value"], default=_json_default),
+                json.dumps(c["bound"], default=_json_default), c["passed"]] for c in checks])
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['suite']}: {c['name']}"
              for c in checks]
     all_ok = all(c["passed"] for c in checks)
@@ -651,7 +644,7 @@ def run_validate(ctx: RunContext) -> int:
                 diagnostics.append({"name": "phase_resolution", "message": str(exc)})
 
     path = ctx.out_dir / "diagnostics.json"
-    path.write_text(json.dumps(_jsonable(diagnostics), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True, default=_json_default) + "\n",
                     encoding="utf-8")
     lines = ([d["name"] + ": " + d["message"] for d in diagnostics]
              or ["no diagnostics; configuration is well-formed"])

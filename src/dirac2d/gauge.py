@@ -55,7 +55,7 @@ from .fourier import (
     field_to_records,
     sample_to_fourier,
 )
-from .operators import assemble_dpm, lanczos_lambda_max
+from .operators import assemble_dpm, lanczos_lambda_max, lu_solver
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,14 @@ class _DPlusLU:
         rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         column = scipy.sparse.csc_matrix((r, (np.arange(n), np.full(n, c0))), shape=(n, n))
-        try:
-            self.lu = scipy.sparse.linalg.splu(self.sparse + column)
-        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        self.solve = lu_solver(self.sparse + column)
+        if self.solve is None:
             raise DegenerateCokernelError(
-                f"i d_+(0) with its N = 0 column replaced is singular ({exc}); "
-                "cokernel not one-dimensional") from exc
+                "i d_+(0) with its N = 0 column replaced is singular (exactly zero pivot); "
+                "cokernel not one-dimensional")
         e0 = np.zeros(n, dtype=np.complex128)
         e0[c0] = 1.0
-        y = self.lu.solve(e0, trans="H")
+        y = self.solve(e0, trans="H")
         self.chi = _phase_fix(y / np.linalg.norm(y))
         self.sigma_min = float(np.linalg.norm(self.adjoint @ self.chi))
 
@@ -123,11 +122,11 @@ class _DPlusLU:
     @cached_property
     def sigma_second(self) -> float:
         """s[-2], the smallest nonzero singular value, from Lanczos on (A^+)^H A^+."""
-        chi, lu = self.chi, self.lu
+        chi, solve = self.chi, self.solve
 
         def matvec(v):
             v = v - chi * np.vdot(chi, v)
-            y = lu.solve(lu.solve(v), trans="H")
+            y = solve(solve(v), trans="H")
             return y - chi * np.vdot(chi, y)
         return self._lanczos_or_svdvals(matvec, -0.5, -2)
 
@@ -241,7 +240,7 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField,
     if cond > TOLERANCES["gauge_condition_limit"]:
         raise IllConditionedError(
             f"zero-mean condition number s[0]/s[-2] = {cond:.3e} exceeds limit")
-    x = fac.lu.solve(np.column_stack([rhs_p, np.conj(rhs_m[::-1])]))
+    x = fac.solve(np.column_stack([rhs_p, np.conj(rhs_m[::-1])]))
     x[grid.mode_index(0, 0)] = 0.0
     phi_p, phi_m = x[:, 0], np.conj(x[::-1, 1])
     a_m = 1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "-").sparse

@@ -22,22 +22,22 @@ Every operator is held in one form: a product of factors, each factor a sum
 of terms (i, j, field, diag) that map spinor component j to component i by
 multiplying with the diagonal symbol and then with the field.  Each field
 caches one CSR convolution matrix (the coefficient set hands out the same
-G +- iF fields to every fiber), and a factor's CSR form scales its columns by
-each term's ``diag`` and sums the terms in builder order.  ``apply`` and
-``adjoint_apply`` multiply through these forms (a full-support factor's rows
-hold up to nc * n_modes entries); the fiber solves and the gauge solve factor
-a single-factor operator's form (``sparse``) by ``splu``.
+G +- iF fields to every fiber, and a matrix potential the same block fields),
+and a factor's CSR form scales its columns by each term's ``diag`` and sums
+the terms in builder order.  ``apply`` and ``adjoint_apply`` multiply through
+these forms (a full-support factor's rows hold up to nc * n_modes entries).
 
 The column route (``columns``) builds chosen columns of the dense Galerkin
 matrix right to left: the last factor contributes only the needed columns of
 its convolution blocks (read from one strided view of the coefficients), and
-every earlier factor is one dense product per (i, j) block, or one sparse
-product when band-limited (band radius b with 2b < M, so a row holds
+every earlier factor is one dense product per term, or one sparse product
+when band-limited (band radius b with 2b < M, so a row holds
 (2b+1)^2 <= n_modes / 4 nonzeros).  ``matrix`` is this route over every
-column, or a band-limited operator's ``sparse.toarray()``, bit for bit the
-same; ``restricted_operator_distance`` uses it on the probed columns only.
-Full-support fields (gauge exponentials, sampled fields) keep dense blocks
-and dense LU.
+column; ``restricted_operator_distance`` uses it on the probed columns only.
+
+``TruncatedOperator.route`` is the one place the fields pick how a fiber is
+solved: ``per-mode`` (constant fields), ``sparse LU`` (band-limited fields) or
+``dense LU`` (a product, or full-support fields such as gauge exponentials).
 
 A seeded Lanczos helper (:func:`lanczos_lambda_max`) serves every iterative
 eigenvalue the library takes of a Hermitian positive operator: the fiber
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -124,6 +125,24 @@ class MatrixPotential:
         """The multiplication potential is Hermitian iff all components are real."""
         return all(c.is_real(tol) for c in (self.v0, self.v1, self.v2, self.v3))
 
+    @cached_property
+    def block_terms(self) -> tuple:
+        """The fiber terms (i, j, field, None) of [[V0+V3, V1-iV2], [V1+iV2, V0-V3]],
+        built once for every fiber; an identically zero block adds no term, and
+        one whose sum overflows is inadmissible."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = (("V1 - iV2", 0, 1, self.v1.coeffs - 1j * self.v2.coeffs),
+                      ("V1 + iV2", 1, 0, self.v1.coeffs + 1j * self.v2.coeffs),
+                      ("V0 + V3", 0, 0, self.v0.coeffs + self.v3.coeffs),
+                      ("V0 - V3", 1, 1, self.v0.coeffs - self.v3.coeffs))
+        terms = []
+        for name, i, j, coeffs_ij in blocks:
+            if not np.all(np.isfinite(coeffs_ij)):
+                raise InadmissibleParameterError(f"potential block {name} overflows")
+            if np.any(coeffs_ij):
+                terms.append((i, j, PeriodicScalarField(self.grid, coeffs_ij), None))
+        return tuple(terms)
+
 
 # ---------------------------------------------------------------------------
 # Terms: convolution matrices
@@ -145,26 +164,6 @@ def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
     view = np.lib.stride_tricks.sliding_window_view(w[::-1, ::-1], (s, s))[::-1, ::-1]
     b, q = np.divmod(np.arange(g.n_modes)[cols], s)
     return view[:, :, b, q].reshape(g.n_modes, -1)
-
-
-def _blocks(factor):
-    """(i, j, block) for each (i, j) a factor maps, one dense block at a time.
-
-    A block is the sum of the factor's (i, j) terms in the order the builder
-    lists them.
-    """
-    for i, j in dict.fromkeys((i, j) for i, j, _, _ in factor):
-        block = None
-        for ti, tj, field, diag in factor:
-            if (ti, tj) == (i, j):
-                c = _convolution_matrix(field, slice(None))
-                if diag is not None:
-                    c *= diag
-                if block is None:
-                    block = c
-                else:
-                    block += c
-        yield i, j, block
 
 
 def _band_limited(factor) -> bool:
@@ -244,11 +243,16 @@ class TruncatedOperator:
             vec = a @ vec
         return vec
 
+    @cached_property
+    def _csr_adjoint(self) -> list:
+        """Each factor's conjugate transpose, built on first use."""
+        return [a.conj().T for a in self._csr]
+
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
         """The adjoint's product, through each factor's conjugate transpose left to right."""
         vec = self._check(vec)
-        for a in self._csr:
-            vec = a.conj().T @ vec
+        for a in self._csr_adjoint:
+            vec = a @ vec
         return vec
 
     def columns(self, idx) -> np.ndarray:
@@ -279,7 +283,10 @@ class TruncatedOperator:
                 out = _factor_csr(factor, n, self.n_components) @ out
             else:
                 nxt = np.zeros_like(out)
-                for i, j, block in _blocks(factor):
+                for i, j, field, diag in factor:
+                    block = _convolution_matrix(field, slice(None))
+                    if diag is not None:
+                        block *= diag
                     for row, c in live:
                         if row == j:
                             nxt[rows[i], cols[c]] += block @ out[rows[j], cols[c]]
@@ -288,9 +295,14 @@ class TruncatedOperator:
         return out
 
     @property
-    def band_limited(self) -> bool:
-        """One factor whose fields are all band-limited: the sparse route applies."""
-        return len(self.factors) == 1 and _band_limited(self.factors[0])
+    def route(self) -> str:
+        """How a fiber solve treats the operator, set by its fields alone:
+        ``per-mode`` for one factor of constant fields (see :attr:`mode_blocks`),
+        ``sparse LU`` for one factor of band-limited fields (:func:`lu_solver`
+        of ``sparse``), else ``dense LU`` (:func:`lu_solver` of ``matrix``)."""
+        if len(self.factors) != 1 or not _band_limited(self.factors[0]):
+            return "dense LU"
+        return "sparse LU" if any(f.band_radius for _, _, f, _ in self.factors[0]) else "per-mode"
 
     @property
     def sparse(self) -> scipy.sparse.csr_matrix:
@@ -299,17 +311,10 @@ class TruncatedOperator:
             raise ValueError("only a single-factor operator has a sparse form")
         return self._csr[0]
 
-    @property
-    def mode_blocks(self) -> np.ndarray | None:
-        """The (n_modes, nc, nc) per-mode blocks of a band-limited operator whose
-        fields are all constant (each mode then maps only to itself), read from
-        ``sparse`` so the entries keep its bits; None for any other operator."""
-        if not self.band_limited or any(f.band_radius for _, _, f, _ in self.factors[0]):
-            return None
-        return self._mode_blocks
-
     @cached_property
-    def _mode_blocks(self) -> np.ndarray:
+    def mode_blocks(self) -> np.ndarray:
+        """The (n_modes, nc, nc) per-mode blocks of a ``per-mode`` operator (each
+        mode maps only to itself), read from ``sparse`` so the entries keep its bits."""
         a, n, nc = self.sparse.tocoo(), self.grid.n_modes, self.n_components
         blocks = np.zeros((n, nc, nc), dtype=np.complex128)
         blocks[a.row % n, a.row // n, a.col // n] = a.data
@@ -317,11 +322,9 @@ class TruncatedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Galerkin matrix (cached): ``sparse.toarray()`` for a band-limited
-        operator, else :meth:`columns` over every column; the two agree bit for bit."""
+        """Dense Galerkin matrix, :meth:`columns` over every column (cached)."""
         if self._matrix is None:
-            self._matrix = (self.sparse.toarray() if self.band_limited
-                            else self.columns(np.arange(self.dim)))
+            self._matrix = self.columns(np.arange(self.dim))
         return self._matrix
 
     def _require_compatible(self, other: "TruncatedOperator"):
@@ -336,6 +339,22 @@ class TruncatedOperator:
 def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     """Truncated multiplication by a scalar field."""
     return TruncatedOperator(field.grid, 1, [[(0, 0, field, None)]])
+
+
+def lu_solver(a):
+    """``solve(b, trans="N")`` for A x = b (A^H x = b with ``trans="H"``) from one LU
+    of A, ``splu`` when A is sparse and ``zgetrf`` when dense; None when the LU
+    meets an exactly zero pivot (A is singular in floating point)."""
+    if scipy.sparse.issparse(a):
+        try:
+            return scipy.sparse.linalg.splu(a.tocsc()).solve
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            return None
+    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+
+    def solve(b, trans="N"):
+        return scipy.linalg.lapack.zgetrs(lu, piv, b, trans=2 if trans == "H" else 0)[0]
+    return None if info > 0 else solve
 
 
 def lanczos_lambda_max(matvec, dim: int) -> float:
@@ -388,25 +407,15 @@ def assemble_dirac(coeffs: CoefficientSet, V: MatrixPotential | None, z, *,
                    mu: float = 0.0) -> TruncatedOperator:
     """The two-component fiber [[0, d_-(z)], [d_+(z), 0]] + potential blocks.
 
-    The potential adds [[V0+V3, V1-iV2], [V1+iV2, V0-V3]] as convolution
-    blocks (one that overflows is inadmissible); ``mu`` adds i mu H off-diagonal.
+    The potential adds its :attr:`MatrixPotential.block_terms` (one that
+    overflows is inadmissible); ``mu`` adds i mu H off-diagonal.
     """
     grid = coeffs.grid
     terms = _dpm_terms(coeffs, z, mu, "-", 0, 1) + _dpm_terms(coeffs, z, mu, "+", 1, 0)
     if V is not None:
         if V.grid != grid:
             raise GridMismatchError("potential grid does not match")
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = (("V1 - iV2", 0, 1, V.v1.coeffs - 1j * V.v2.coeffs),
-                      ("V1 + iV2", 1, 0, V.v1.coeffs + 1j * V.v2.coeffs),
-                      ("V0 + V3", 0, 0, V.v0.coeffs + V.v3.coeffs),
-                      ("V0 - V3", 1, 1, V.v0.coeffs - V.v3.coeffs))
-        # An identically zero component adds no term.
-        for name, i, j, coeffs_ij in blocks:
-            if not np.all(np.isfinite(coeffs_ij)):
-                raise InadmissibleParameterError(f"potential block {name} overflows")
-            if np.any(coeffs_ij):
-                terms.append((i, j, PeriodicScalarField(grid, coeffs_ij), None))
+        terms += V.block_terms
     return TruncatedOperator(grid, 2, [terms])
 
 

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import dirac2d as d
-from dirac2d.analysis import fiber_route, power_moments
+from dirac2d.analysis import power_moments
 
 
 def constant_set(m=4):
@@ -40,12 +40,8 @@ def forbid_full_size_solves(monkeypatch):
 
 
 def force_route(monkeypatch, route):
-    """Send constant fibers down a Lanczos route: no per-mode blocks for
-    ``sparse LU``, and no band-limited form either for ``dense LU``."""
-    if route != "per-mode":
-        monkeypatch.setattr(d.TruncatedOperator, "mode_blocks", property(lambda op: None))
-    if route == "dense LU":
-        monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
+    """Send every fiber down ``route`` (constant ones too)."""
+    monkeypatch.setattr(d.TruncatedOperator, "route", property(lambda op: route))
 
 
 def free_oracle(grid, k):
@@ -241,7 +237,7 @@ class TestSweep:
         _, cs = constant_set(3)
         op = d.assemble_dirac(cs, None, (0.0, 0.0))
         assert scipy.linalg.lapack.zgetrf(op.matrix)[2] > 0
-        assert fiber_route(op) == "per-mode"
+        assert op.route == "per-mode"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert d.smallest_singular_value(op) == 0.0
@@ -252,7 +248,7 @@ class TestSweep:
         _, cs = constant_set(3)
         op = d.assemble_dirac(cs, None, (0.0, 0.0))
         force_route(monkeypatch, route)
-        assert fiber_route(op) == route
+        assert op.route == route
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert d.smallest_singular_value(op) == 0.0
@@ -305,7 +301,7 @@ class TestSweep:
         refs = [scipy.linalg.svdvals(op.matrix)[-1] for op in ops]
         force_route(monkeypatch, route)
         for op, ref in zip(ops, refs):
-            assert fiber_route(op) == route
+            assert op.route == route
             assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
         assert refs[-1] == pytest.approx(np.pi, abs=1e-12)
 
@@ -423,11 +419,11 @@ class TestSparseRoute:
             sparse = [d.smallest_singular_value(ops[0])]
         calls = count_splu(monkeypatch)
         sparse += [d.smallest_singular_value(op) for op in ops[1:]]
-        assert [fiber_route(op) for op in ops] == ["per-mode", "sparse LU", "sparse LU"]
+        assert [op.route for op in ops] == ["per-mode", "sparse LU", "sparse LU"]
         assert len(calls) == 2
-        # Without band_limited every fiber, the constant one too, takes dense LU.
-        monkeypatch.setattr(d.TruncatedOperator, "band_limited", property(lambda op: False))
-        assert [fiber_route(op) for op in ops] == ["dense LU"] * 3
+        # Forced to dense LU, every fiber, the constant one too, takes zgetrf.
+        force_route(monkeypatch, "dense LU")
+        assert [op.route for op in ops] == ["dense LU"] * 3
         dense = [d.smallest_singular_value(op) for op in ops]
         assert len(calls) == 2
         for op, s, lu in zip(ops, sparse, dense):
@@ -449,7 +445,7 @@ class TestSparseRoute:
             raise AssertionError("a full-support fiber reached splu")
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
         op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum((np.pi, 0.3), (2.0, 0.0)))
-        assert not op.band_limited
+        assert op.route == "dense LU"
         assert d.smallest_singular_value(op) == pytest.approx(
             scipy.linalg.svdvals(op.matrix)[-1], rel=1e-12)
         d.estimate_c1_c2(cs, (np.pi, 0.3), 2 * np.pi)
@@ -499,7 +495,7 @@ class TestPerModeRoute:
         refs = [scipy.linalg.svdvals(op.matrix)[-1] for op in ops]
         forbid_full_size_solves(monkeypatch)
         for op, ref in zip(ops, refs):
-            assert fiber_route(op) == "per-mode"
+            assert op.route == "per-mode"
             assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
 
     def test_equivalence_constants_are_one(self, monkeypatch):
@@ -516,7 +512,7 @@ class TestPerModeRoute:
         zero = d.PeriodicScalarField.constant(grid, 0.0)
         V = d.MatrixPotential(zero, zero, zero, d.random_trig_field(grid, rng, 1, 0.3))
         op = d.assemble_dirac(cs, V, d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))
-        assert op.band_limited and op.mode_blocks is None and fiber_route(op) == "sparse LU"
+        assert op.route == "sparse LU"
         ref = scipy.linalg.svdvals(op.matrix)[-1]
         splu_calls = count_splu(monkeypatch)
         eigvalsh_calls = TestBandStructure.count_eigvalsh(monkeypatch)

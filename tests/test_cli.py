@@ -130,6 +130,21 @@ class TestVerify:
         assert "FAIL  sweep_floor" in capsys.readouterr().out
 
 
+def test_manifest_booleans_are_json_booleans(tmp_path, capsys):
+    # bool is a subclass of int: the manifest must still write True as true.
+    # A numeric YAML key, which no run reads, reaches the manifest as text.
+    cfg = small_free_config(tmp_path)
+    cfg.write_text(cfg.read_text() + "1: numeric key\n")
+    assert run("gauge", "--config", cfg, "--out", tmp_path / "gauge") == 0
+    manifest = json.loads((tmp_path / "gauge" / "manifest.json").read_text())
+    assert manifest["results"]["gauge"]["bound_chain_ok"] is True
+    assert manifest["config"]["1"] == "numeric key"
+    assert run("verify", "--config", cfg, "--out", tmp_path / "verify",
+               "--set", "verify.trials=5") == 0
+    suites = json.loads((tmp_path / "verify" / "manifest.json").read_text())["results"]["verify"]
+    assert suites and all(passed is True for passed in suites.values())
+
+
 class TestValidate:
     def test_gamma_violation_named_with_coordinates(self, tmp_path, capsys):
         cfg = small_free_config(tmp_path)

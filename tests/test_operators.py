@@ -488,10 +488,11 @@ class TestSparseForm:
     def test_matrix_is_the_column_route_bit_for_bit(self, m, degree):
         for seed in range(3):
             op = band_limited_fiber(m, seed, degree)
-            assert op.band_limited and len(op.factors[0]) == 8
+            assert op.route == "sparse LU" and len(op.factors[0]) == 8
             cols = op.columns(np.arange(op.dim))
-            assert np.array_equal(op.matrix, cols)
-            assert op.matrix.tobytes() == cols.tobytes()
+            csr = op.sparse.toarray()
+            assert np.array_equal(op.matrix, cols) and np.array_equal(csr, cols)
+            assert op.matrix.tobytes() == cols.tobytes() == csr.tobytes()
 
     def test_convolution_matches_the_strided_columns(self):
         from dirac2d.operators import _convolution_matrix
@@ -517,11 +518,37 @@ class TestSparseForm:
         assert all(ta[2].convolution is tb[2].convolution
                    for ta, tb in zip(a.factors[0], b.factors[0]))
 
+    def test_potential_fields_are_built_once(self):
+        grid, cs, rng = random_set(m=6, seed=56)
+        V = d.MatrixPotential(*(d.random_trig_field(grid, rng, 1, 0.5, zero_mean=False)
+                                for _ in range(4)))
+        a = d.assemble_dirac(cs, V, (0.1, 0.2))
+        b = d.assemble_dirac(cs, V, d.ComplexQuasimomentum((0.3, 0.4), (1.0, 0.0)))
+        assert len(V.block_terms) == 4 and a.factors[0][4:] == V.block_terms
+        assert all(ta[2] is tb[2] and ta[2].convolution is tb[2].convolution
+                   for ta, tb in zip(a.factors[0][4:], b.factors[0][4:]))
+
     def test_only_single_band_limited_factors_are_band_limited(self):
         lhs, rhs = conjugated_pair(6, seed=53)
-        assert rhs.band_limited and not lhs.band_limited
+        assert rhs.route == "sparse LU" and lhs.route == "dense LU"
         with pytest.raises(ValueError):
             _ = lhs.sparse
+
+    def test_products_and_full_support_fields_take_dense_lu(self):
+        grid, cs, _ = random_set(m=6, seed=57)
+        free = d.assemble_dirac(d.CoefficientSet.constant(grid), None, (0.1, 0.2))
+        fiber = d.assemble_dirac(cs, None, (0.1, 0.2))
+        assert (free.route, fiber.route) == ("per-mode", "sparse LU")
+        # A product of band-limited, even constant, factors.
+        assert (free @ free).route == "dense LU" and (fiber @ free).route == "dense LU"
+        # One full-support field (sampled, so every coefficient is nonzero).
+        x1, _ = grid.sample_points()
+        smooth = d.sample_to_fourier(np.exp(np.cos(2 * np.pi * x1)), grid)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        for op in (d.multiplication_operator(smooth),
+                   d.assemble_dirac(d.CoefficientSet.constant(grid),
+                                    d.MatrixPotential(smooth, zero, zero, zero), (0.1, 0.2))):
+            assert not smooth.band_limited and op.route == "dense LU"
 
     def test_sparse_middle_factor_matches_the_dense_blocks(self, monkeypatch):
         lhs, _ = conjugated_pair(8, seed=54)
