@@ -670,8 +670,9 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
     LHS is the squared fiber norm of the rotated-potential operator; RHS is
     (c1/6) sum_pm ||P^{T_pm(a)} phi_pm||_*^2 + c8 sum_pm ||P^{off} phi_pm||_{*,pm}^2.
     c1 is the empirical equivalence constant at (k, mu); c7 is 1 when both
-    rotated potentials vanish and otherwise the larger profile c7 of
-    vtilde0 +- vtilde3; c8 = c1^2 / (6 (c1 + 4 c7^2)).  When threshold
+    rotated potentials vanish and otherwise 1 + C_1(W)/pi for the larger
+    relative-bound constant C_1 of W = vtilde0 +- vtilde3 (``PotentialProfile.c7``
+    without the rest of the profile); c8 = c1^2 / (6 (c1 + 4 c7^2)).  When threshold
     reports are supplied, a warning is recorded if mu/pi lands in an
     estimated excluded set.
 
@@ -700,8 +701,8 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
     if vtilde0.l2_norm() == 0.0 and vtilde3.l2_norm() == 0.0:
         c7 = 1.0
     else:
-        c7 = max(potential_profile(vtilde0 + vtilde3).c7,
-                 potential_profile(vtilde0 - vtilde3).c7)
+        c7 = 1.0 + max(_relative_bound_constants(w, np.ones(1))[0]
+                       for w in (vtilde0 + vtilde3, vtilde0 - vtilde3)) / np.pi
     c8 = c1**2 / (6.0 * (c1 + 4.0 * c7**2))
 
     weights = ModeWeights(grid, (float(k[0]), float(k[1])), float(mu))

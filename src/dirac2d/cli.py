@@ -7,7 +7,10 @@ work runs serially: ``--workers`` and the ``workers`` key are still accepted,
 but only with the value 1.
 Every run writes a JSON manifest carrying the full configuration, every
 tolerance and default in force, content hashes of the inputs and outputs, and
-the seed policy, plus CSV data files and a plain-text summary.
+the seed policy, plus CSV data files and a plain-text summary; ``write_csv``
+and ``write_json`` write every CSV and JSON file.  The config's JSON record is
+made before any work or output, so a value JSON cannot hold (a YAML set, date,
+binary, recursive alias or too deep nesting) is a schema violation.
 Identical config + seed produces byte-identical outputs.
 
 Exit codes: 0 success, 2 config schema violation, 3 numerical failure
@@ -119,7 +122,7 @@ SCHEMA = {
     "coefficients.q": ("real", REQUIRED), "coefficients.f_bound": ("real", REQUIRED),
     "coefficients.G": ("field", REQUIRED), "coefficients.H": ("field", REQUIRED),
     "coefficients.F": ("field", REQUIRED),
-    "seed": ("int", 0), "workers": ("word", 1, 1),  # per-fiber work runs serially
+    "seed": ("seed", 0), "workers": ("word", 1, 1),  # per-fiber work runs serially
     "output_dir": ("str", None),  # None: runs/<subcommand>
     "potential": ("map", None, None),  # null: no potential
     "potential.V0": ("field", {"constant": 0.0}),
@@ -149,14 +152,14 @@ SCHEMA = {
 }
 EXPECTED = {"num": "a finite number", "real": "a finite number, not text",
             "count": "a whole number >= 1", "pos": "a finite number > 0",
-            "int": "an integer", "str": "a string", "map": "a mapping",
+            "int": "an integer", "seed": "an integer >= 0", "str": "a string", "map": "a mapping",
             "pair": "a list of two numbers", "nums": "a non-empty list of numbers",
             "counts": "a non-empty list of whole numbers >= 1",
             "posnums": "a non-empty list of numbers > 0",
             "line": "{start, stop, count} or a non-empty list of numbers",
             "kgrid": "{n1, n2} or a non-empty list of [k1, k2] pairs",
             "res": "a positive integer or a pair of them"}
-_TYPES = {"int": int, "str": str, "map": dict}
+_TYPES = {"int": int, "seed": int, "str": str, "map": dict}
 _PARTS = {"line": {"start": "num", "stop": "num", "count": "count"},
           "kgrid": {"n1": "count", "n2": "count"}}
 _ENTRY = {"pair": "num", "nums": "num", "counts": "count", "posnums": "pos",
@@ -211,7 +214,7 @@ def _check_value(value, key: str, kind: str, words=()) -> None:
         ok = np.isfinite(x) and {"num": True, "real": True, "pos": x > 0,
                                  "count": x >= 1 and x.is_integer()}[kind]
     elif kind in _TYPES:
-        ok = isinstance(value, _TYPES[kind])
+        ok = isinstance(value, _TYPES[kind]) and not (kind == "seed" and value < 0)
     elif kind == "res":
         pair = value if isinstance(value, list) and len(value) == 2 else [value]
         ok = all(type(r) is int and r >= 1 for r in pair)
@@ -237,7 +240,7 @@ def _convert(value, kind: str):
         return tuple(float(v) for v in value)
     if kind == "count":
         return int(float(value))  # the check accepts any whole number, also as text
-    if kind == "int":
+    if kind in ("int", "seed"):
         return int(value)
     return float(value) if kind in ("num", "real", "pos") else value
 
@@ -251,6 +254,12 @@ class RunContext:
 
     def __init__(self, cfg: dict, subcommand: str, config_path, out=None):
         check_schema(cfg, subcommand)
+        try:
+            # Round trip: YAML's number keys become text that sort_keys can order;
+            # a set, date, bytes, recursive alias or too deep nesting fails here.
+            self.config_record = json.loads(json.dumps(cfg, default=_json_default))
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ConfigSchemaError(f"config is not JSON-serializable: {exc}") from exc
         self.cfg = cfg
         self.subcommand = subcommand
         self.config_path = Path(config_path)
@@ -325,8 +334,7 @@ class RunContext:
             "schema": SCHEMA_VERSIONS["manifest"],
             "tool_version": __version__,
             "subcommand": self.subcommand,
-            # Round trip: YAML's number keys become text that sort_keys can order.
-            "config": json.loads(json.dumps(self.cfg, default=_json_default)),
+            "config": self.config_record,
             "seed": self.seed,
             "seed_policy": "numpy.default_rng(seed [+ fixed per-suite offsets])",
             "tolerances": TOLERANCES,
@@ -335,9 +343,7 @@ class RunContext:
             "outputs": {p.name: _sha256_file(p) for p in outputs},
             "results": {self.subcommand: results},
         }
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",
-            encoding="utf-8")
+        write_json(self.out_dir / "manifest.json", manifest)
         body = [f"dirac2d {self.subcommand}", f"seed: {self.seed}"] + lines
         (self.out_dir / "summary.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
 
@@ -350,21 +356,17 @@ def _sha256_file(path) -> str:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """A header and rows; csv writes a float (numpy float64 too) as its shortest repr."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n",
+                    encoding="utf-8")
 
 
 def _json_default(obj):
@@ -450,7 +452,7 @@ def run_gauge(ctx: RunContext) -> int:
     write_csv(out_phi, ["n1", "n2", "re", "im"], field_to_records(canonical.phi))
     write_csv(out_psi, ["n1", "n2", "re", "im"], field_to_records(canonical.psi))
     out_json = ctx.out_dir / "gauge.json"
-    payload = {
+    write_json(out_json, {
         "schema": SCHEMA_VERSIONS["gauge"],
         "kappa_tilde": list(canonical.kappa_tilde),
         "c0_lower": canonical.c0_lower,
@@ -459,9 +461,7 @@ def run_gauge(ctx: RunContext) -> int:
         "imag_residual": canonical.imag_residual,
         "phi": field_to_records(canonical.phi, drop_zeros=True),
         "psi": field_to_records(canonical.psi, drop_zeros=True),
-    }
-    out_json.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-                        encoding="utf-8")
+    })
     ctx.finish([out_phi, out_psi, out_json], {
         "kappa_tilde": list(canonical.kappa_tilde),
         "c0_lower": canonical.c0_lower,
@@ -612,7 +612,7 @@ def run_verify(ctx: RunContext) -> int:
     out = ctx.out_dir / "verify.csv"
     write_csv(out, ["suite", "name", "value", "bound", "passed"],
               [[c["suite"], c["name"], json.dumps(c["value"], default=_json_default),
-                json.dumps(c["bound"], default=_json_default), c["passed"]] for c in checks])
+                json.dumps(c["bound"], default=_json_default), int(c["passed"])] for c in checks])
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['suite']}: {c['name']}"
              for c in checks]
     all_ok = all(c["passed"] for c in checks)
@@ -644,8 +644,7 @@ def run_validate(ctx: RunContext) -> int:
                 diagnostics.append({"name": "phase_resolution", "message": str(exc)})
 
     path = ctx.out_dir / "diagnostics.json"
-    path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True, default=_json_default) + "\n",
-                    encoding="utf-8")
+    write_json(path, diagnostics)
     lines = ([d["name"] + ": " + d["message"] for d in diagnostics]
              or ["no diagnostics; configuration is well-formed"])
     ctx.finish([path], {"diagnostics": len(diagnostics)}, lines)

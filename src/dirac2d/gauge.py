@@ -46,13 +46,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .defaults import DEFAULTS, SCHEMA_VERSIONS, TOLERANCES
+from .defaults import DEFAULTS, TOLERANCES
 from .errors import DegenerateCokernelError, Dirac2DError, IllConditionedError
 from .fourier import (
     CoefficientSet,
     FourierGrid,
     PeriodicScalarField,
-    field_to_records,
     sample_to_fourier,
 )
 from .operators import assemble_dpm, lanczos_lambda_max, lu_solver
@@ -194,17 +193,6 @@ class GaugeSolution:
     condition_plus: float
     realness_flag: bool
     pair: CokernelPair
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSIONS["gauge"],
-            "k": list(self.k),
-            "kappa": list(self.kappa),
-            "residual_plus": self.residual_plus,
-            "residual_minus": self.residual_minus,
-            "phi": field_to_records(self.phi, drop_zeros=True),
-            "psi": field_to_records(self.psi, drop_zeros=True),
-        }
 
 
 def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField,

@@ -117,6 +117,8 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "FAIL" not in text
         assert "overall: PASS" in text
+        _, rows = read_csv(out / "verify.csv")
+        assert rows and [row[-1] for row in rows] == ["1"] * len(rows)
 
     def test_failing_floor_exits_3(self, tmp_path, capsys):
         # V0 = -pi makes the fiber at (pi, 0) exactly singular at the zero
@@ -128,6 +130,9 @@ class TestVerify:
                    "--set", "verify.trials=5")
         assert code == 3
         assert "FAIL  sweep_floor" in capsys.readouterr().out
+        _, rows = read_csv(out / "verify.csv")
+        passed = {row[0]: row[-1] for row in rows}
+        assert passed["sweep_floor"] == "0" and set(passed.values()) <= {"0", "1"}
 
 
 def test_manifest_booleans_are_json_booleans(tmp_path, capsys):
@@ -143,6 +148,21 @@ def test_manifest_booleans_are_json_booleans(tmp_path, capsys):
                "--set", "verify.trials=5") == 0
     suites = json.loads((tmp_path / "verify" / "manifest.json").read_text())["results"]["verify"]
     assert suites and all(passed is True for passed in suites.values())
+
+
+def test_write_csv_cells_are_shortest_reprs(tmp_path):
+    # Floats, Python's or numpy's, as repr(float(v)), so each parses back bit
+    # for bit; integers of any width as str(int(v)).
+    floats = [-0.0, 0.0, 1e-5, 0.1, 1e16, 9999999999999998.0, 5e-324, float("nan"),
+              float("inf"), -float("inf")]
+    row = floats + [np.float64(x) for x in floats] + [0, -7, 2**70, np.int64(-3), np.int32(9)]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    _, (cells,) = read_csv(path)
+    is_float = [isinstance(v, float) for v in row]  # np.float64 subclasses float
+    assert cells == [repr(float(v)) if f else str(int(v)) for v, f in zip(row, is_float)]
+    back = np.array([float(c) for c, f in zip(cells, is_float) if f])
+    assert back.tobytes() == np.array([v for v, f in zip(row, is_float) if f]).tobytes()
 
 
 class TestValidate:
@@ -279,6 +299,38 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "wiener.n_max=[1", "verify.trials=2.5",
                    'coefficients.p="2.0"', "grid.truncation_radius=3.0",
                    f"sweep.k2_grid=[{10**400}]", "workers=3", "workers=true"}
+
+
+@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("old,new,args,reason", [
+    pytest.param("seed: 1234", "extra: !!set {a, b}", (), "type set is not JSON", id="set"),
+    pytest.param("seed: 1234", "extra: 2020-01-01", (), "type date is not JSON", id="date"),
+    pytest.param("seed: 1234", "extra: !!binary aGVsbG8=", (), "type bytes is not JSON",
+                 id="binary"),
+    pytest.param("seed: 1234", "extra: &x [1, *x]", (), "Circular reference detected",
+                 id="alias"),
+    pytest.param("seed: 1234", "extra: " + "[" * 1500 + "]" * 1500, (),
+                 "maximum recursion depth exceeded", id="deep-nesting"),
+    pytest.param("G: {constant: 1.0}", "G: {constant: 1.0, note: 2020-01-01}", (),
+                 "type date is not JSON", id="date-in-field-spec"),
+    pytest.param("seed: 1234", "seed: -5", (), "seed: expected an integer >= 0, got -5",
+                 id="negative-seed"),
+    pytest.param("seed: 1234", "seed: 1234", ("--seed", "-1"),
+                 "seed: expected an integer >= 0, got -1", id="negative-seed-flag"),
+])
+def test_config_rejected_before_any_work(tmp_path, capsys, sub, old, new, args, reason):
+    # The manifest records the config as JSON: a value JSON cannot hold once
+    # failed only after the work was done and its outputs written.  A negative
+    # seed once reached numpy's default_rng.
+    text = FREE_CONFIG.read_text()
+    assert old in text
+    path = tmp_path / "config.yaml"
+    path.write_text(text.replace(old, new))
+    code = run(sub, "--config", path, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14", *args)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config schema error:") and reason in err
+    assert not (tmp_path / "o").exists()
 
 
 def check_edge_config(config, tmp_path, capsys, sub, assignment):
@@ -419,7 +471,8 @@ SHIPPED = {p.stem: _shrunk(p) for p in sorted((REPO / "configs").glob("*.yaml"))
 DELETE = object()
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
                     st.sampled_from([0.5, -2.0, 1e-300, float("nan"), float("inf"), 2.5,
-                                     "", "all", "canonical", "eigen", "singular", "x"]))
+                                     "", "all", "canonical", "eigen", "singular", "x"]),
+                    st.dates(), st.sets(st.integers(0, 3), max_size=2), st.binary(max_size=3))
 VALUES = st.one_of(SCALARS, st.just(DELETE), st.lists(SCALARS, max_size=3),
                    st.lists(st.lists(SCALARS, max_size=4), min_size=1, max_size=2),
                    st.dictionaries(st.sampled_from(["constant", "modes", "file", "start",
@@ -442,9 +495,10 @@ def _at(cfg, path):
 
 
 # Keys a mutation may add to any mapping: every key the shipped configs or the
-# schema use, so optional keys absent from the shipped files are reached too.
+# schema use, so optional keys absent from the shipped files are reached too,
+# and one key that no schema has.
 KEYS = sorted({p[-1] for c in SHIPPED.values() for p in _paths(c) if isinstance(p[-1], str)}
-              | {part for key in SCHEMA for part in key.split(".")})
+              | {part for key in SCHEMA for part in key.split(".")} | {"extra"})
 
 
 @st.composite

@@ -141,15 +141,6 @@ class TestSolveGauge:
         assert np.array_equal(a.phi.coeffs, b.phi.coeffs)
         assert np.array_equal(a.psi.coeffs, b.psi.coeffs)
 
-    def test_export_json(self):
-        grid, cs, rng = random_set(seed=9)
-        sol = d.solve_gauge(cs, d.random_trig_field(grid, rng, 1, 0.3),
-                            d.random_trig_field(grid, rng, 1, 0.3))
-        payload = sol.to_json()
-        assert payload["schema"] == "dirac2d.gauge/1"
-        back = d.field_from_records(grid, payload["phi"])
-        assert np.max(np.abs(back.coeffs - sol.phi.coeffs)) < 1e-15
-
 
 def reference_zero_mean_lstsq(a, rhs, grid):
     """Least squares for a x = rhs over zero-mean x, straight from LAPACK's lstsq."""
