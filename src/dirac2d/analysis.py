@@ -346,14 +346,58 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, f
 # Potential functionals
 # ---------------------------------------------------------------------------
 
+def _cholesky_completes(b: np.ndarray) -> bool:
+    """Whether the Cholesky factorisation of Hermitian ``b`` runs to completion.
+
+    Left-looking, column by column, in place on the lower triangle: column j
+    loses the products of the earlier columns (one matrix-vector product),
+    then is divided by the square root of its diagonal entry, which must be
+    positive and finite.  The products go to two preallocated vectors, so the
+    loop makes no array per column.
+    """
+    n = b.shape[0]
+    row, prod = np.empty(n, dtype=b.dtype), np.empty(n, dtype=b.dtype)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            col = b[j:, j]
+            np.conjugate(b[j, :j], out=row[:j])
+            col -= np.matmul(b[j:, :j], row[:j], out=prod[j:])
+            d = col[0].real
+            if not 0.0 < d < np.inf:
+                return False
+            col /= math.sqrt(d)
+    return True
+
+
 def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray) -> np.ndarray:
     """C_eps(W) via the quadratic-form surrogate, maximised over quasimomentum corners.
 
     C_eps^2 = max over k' in ``DEFAULTS["quasimomentum_corners"]`` of
-    lambda_max( C_W^H C_W - eps^2 diag(|k' + 2 pi N|^2) ) on the truncated
-    space, from a dense ``eigvalsh`` at every size; the square root of the
-    positive part is returned.  This upper-bounds the affine constant since
-    sqrt(a^2 + b^2) <= a + b.
+    lambda_max(H), H = C_W^H C_W - eps^2 diag(|k' + 2 pi N|^2), on the
+    truncated space; the square root of the positive part is returned.  This
+    upper-bounds the affine constant since sqrt(a^2 + b^2) <= a + b.
+
+    Each eps takes the dense ``eigvalsh`` of the first corner's H as ``best``;
+    a later corner is solved only if it might exceed ``best``, so the result
+    has the bits of the plain max over all corners.  A corner is skipped when
+    the Cholesky factorisation of B = (best - delta) I - H runs to completion
+    (:func:`_cholesky_completes`; it and ``eigvalsh`` read the lower triangle).
+    With u the unit roundoff and M = ||C_W^H C_W||_F + eps^2 max ||d2||_2,
+    which bounds ||H||_2 and |best| (so tr B <= 2 n M): the computed factor has
+    R^H R = B + dB with ||dB||_2 <= gamma ||R||_F^2 = gamma tr(B + dB),
+    gamma ~ 2 (n+1) u in complex arithmetic, whatever the order of the inner
+    products (Higham, Accuracy and Stability, Thm 10.3), so
+    ||dB||_2 <= 4 n (n+1) u M.  As B + dB is positive semidefinite,
+    lambda_max(H) <= best - delta + ||dB||_2, and ``eigvalsh`` (backward
+    stable, error at most n^2 u M) would return at most
+    best - delta + 5 (n+1)^2 u M, rounding of B included.  delta =
+    4 (n+1)^2 eps_mach M = 8 (n+1)^2 u M puts that below ``best``, so the
+    skipped value could not have raised the max.  A factorisation that fails
+    (a near tie, a non-finite entry) only sends the corner to ``eigvalsh``.
+    The factorisation is a loop of numpy products, not LAPACK's: numpy's
+    ``cholesky`` pages in about 0.5 MiB more OpenBLAS code, and scipy's runs
+    on scipy's own OpenBLAS, whose threads contend with numpy's when the
+    calls alternate.
     """
     grid = w_field.grid
     c = multiplication_operator(w_field).matrix
@@ -362,9 +406,24 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
         return np.zeros(eps_grid.size)
     d2_list = [(k1 + TWO_PI * grid.n1) ** 2 + (k2 + TWO_PI * grid.n2) ** 2
                for k1, k2 in DEFAULTS["quasimomentum_corners"]]
+    n = ctc.shape[0]
+    diag = np.diag_indices(n)
+    ctc_norm = np.linalg.norm(ctc)
+    d2_norm = max(np.linalg.norm(d2) for d2 in d2_list)
     out = np.empty(eps_grid.size)
     for i, eps in enumerate(eps_grid):
-        best = max(np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2))[-1] for d2 in d2_list)
+        delta = 4 * (n + 1) ** 2 * np.finfo(float).eps * (ctc_norm + eps**2 * d2_norm)
+        best = None
+        for d2 in d2_list:
+            if best is not None:
+                b = -ctc
+                b[diag] += eps**2 * d2
+                b[diag] += best - delta
+                if _cholesky_completes(b):
+                    continue
+            top = np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2))[-1]
+            if best is None or top > best:
+                best = top
         out[i] = np.sqrt(max(best, 0.0))
     return out
 

@@ -79,9 +79,35 @@ SUBCOMMANDS = ("bands", "sweep", "gauge", "verify", "wiener", "profile", "valida
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+# libyaml composes nested nodes recursively on the C stack and dies with a
+# segmentation fault some 25,000 levels deep (8 MiB stack).  The depth is
+# counted over the parser's events, which are not recursive, before anything is
+# composed.  A config nested past about 1,000 levels is rejected later anyway,
+# when it is made JSON; this limit only has to sit between the two.
+MAX_YAML_DEPTH = 2000
+
+
+def load_yaml(text: str):
+    """``yaml.load`` with YAML_LOADER, refusing input nested past MAX_YAML_DEPTH.
+
+    Every collection opens with a '[', '{', '-', '?' or ':' of its own, so text
+    with no more of them than the limit skips the event scan (and its parser).
+    """
+    if sum(map(text.count, "[{-?:")) > MAX_YAML_DEPTH:
+        depth = 0
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, (yaml.MappingStartEvent, yaml.SequenceStartEvent)):
+                depth += 1
+                if depth > MAX_YAML_DEPTH:
+                    raise yaml.YAMLError(f"nested deeper than {MAX_YAML_DEPTH} levels")
+            elif isinstance(event, (yaml.MappingEndEvent, yaml.SequenceEndEvent)):
+                depth -= 1
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 def load_config(path) -> dict:
     try:
-        cfg = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=YAML_LOADER)
+        cfg = load_yaml(Path(path).read_text(encoding="utf-8"))
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigSchemaError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -102,7 +128,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             if not isinstance(node, dict):
                 raise ConfigSchemaError(f"--set path {path!r} crosses a non-mapping node")
         try:
-            node[keys[-1]] = yaml.load(raw, Loader=YAML_LOADER)
+            node[keys[-1]] = load_yaml(raw)
         except yaml.YAMLError as exc:
             reason = " ".join(str(exc).split())
             raise ConfigSchemaError(f"{path.strip()}: cannot parse {raw!r} ({reason})") from exc

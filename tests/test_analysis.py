@@ -606,6 +606,107 @@ class TestPotentialProfile:
         assert d.select_threshold_b(prof, c1=1e-20) is None
 
 
+def plain_relative_bound_constants(w, eps_grid):
+    """C_eps(W) from a dense eigvalsh at every corner and eps: the plain max."""
+    grid = w.grid
+    c = d.multiplication_operator(w).matrix
+    ctc = c.conj().T @ c
+    if np.max(np.abs(ctc)) == 0.0:
+        return np.zeros(eps_grid.size)
+    d2_list = [(k1 + 2 * np.pi * grid.n1) ** 2 + (k2 + 2 * np.pi * grid.n2) ** 2
+               for k1, k2 in d.DEFAULTS["quasimomentum_corners"]]
+    out = np.empty(eps_grid.size)
+    for i, eps in enumerate(eps_grid):
+        best = max(np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2))[-1] for d2 in d2_list)
+        out[i] = np.sqrt(max(best, 0.0))
+    return out
+
+
+# Unsorted, with a repeated value, from 1e-12 (the corners all but tie) to 30.
+FUZZ_EPS = np.array([1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 30.0,
+                     0.5, 1e-3, 1.0])
+
+
+def fuzz_w(kind, m, amplitude, seed):
+    grid = d.FourierGrid(m, 2 * (2 * m + 1))
+    if kind == "constant":
+        return d.PeriodicScalarField.constant(grid, amplitude)
+    if kind == "zero":
+        return d.PeriodicScalarField.constant(grid, 0.0)
+    rng = np.random.default_rng(seed)
+    return d.random_trig_field(grid, rng, int(rng.integers(1, m + 1)), amplitude,
+                               zero_mean=False, real=kind == "real")
+
+
+FUZZ_CASES = [(kind, m, amp) for kind in ("real", "complex", "constant")
+              for m, amp in ((1, 1e-3), (2, 0.7), (3, 1e3), (4, 5.0), (5, 0.05), (6, 30.0))] \
+    + [("zero", 2, 0.0)]
+
+
+class TestRelativeBoundConstants:
+    @pytest.mark.parametrize("kind,m,amplitude", FUZZ_CASES)
+    def test_same_bits_as_plain_max(self, kind, m, amplitude):
+        w = fuzz_w(kind, m, amplitude, seed=m)
+        assert np.array_equal(d.analysis._relative_bound_constants(w, FUZZ_EPS),
+                              plain_relative_bound_constants(w, FUZZ_EPS))
+
+    @pytest.mark.parametrize("kind,m,amplitude", FUZZ_CASES[::3])
+    def test_coercivity_c7_same_bits(self, kind, m, amplitude):
+        v0 = fuzz_w(kind, m, amplitude, seed=m)
+        v3 = fuzz_w("real", m, 0.5 * amplitude, seed=m + 100)
+        rep = d.verify_coercivity(d.CoefficientSet.constant(v0.grid), v0, v3, v0 * 0.0,
+                                  16 * np.pi, 4 * np.pi, (np.pi, 0.0), trials=1)
+        c7 = 1.0 + max(plain_relative_bound_constants(w, np.ones(1))[0]
+                       for w in (v0 + v3, v0 - v3)) / np.pi
+        assert rep.c7 == c7
+
+    def test_cholesky_completes_only_on_positive_definite(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        gram = a @ a.conj().T
+        b = gram + np.eye(40)
+        ref = np.linalg.cholesky(b)
+        assert d.analysis._cholesky_completes(b)
+        assert np.allclose(np.tril(b, -1), np.tril(ref, -1), rtol=0, atol=1e-12)
+        shift = np.linalg.eigvalsh(gram)[1]  # one negative eigenvalue left
+        for bad in (gram - shift * np.eye(40), -np.eye(3)):
+            assert not d.analysis._cholesky_completes(bad)
+        for value in (np.nan, np.inf):
+            b = np.eye(3, dtype=complex)
+            b[2, 2] = value
+            assert not d.analysis._cholesky_completes(b)
+        b = np.eye(3, dtype=complex)
+        b[2, 0] = np.nan
+        assert not d.analysis._cholesky_completes(b)
+
+    def test_overflowing_potential_raises(self):
+        w = d.PeriodicScalarField.constant(d.FourierGrid(2, 12), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError):
+                d.potential_profile(w)
+
+    def test_shipped_profile_solves_one_corner_per_eps(self, monkeypatch, tmp_path):
+        # Three of the four corners are certified below the first one's top
+        # eigenvalue by a Cholesky factorisation, except at eps = 1e-8, where
+        # they tie.  No LAPACK factorisation: numpy's pages in more OpenBLAS
+        # code (peak RSS), scipy's alternates between two OpenBLAS copies.
+        from dirac2d import cli
+        config = Path(__file__).resolve().parents[1] / "configs" / "variable_smooth.yaml"
+        w = cli.RunContext(cli.load_config(config), "profile", config,
+                           tmp_path / "o").field("profile.w")
+        for owner, name in ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "zpotrf"),
+                            (np.linalg, "cholesky")):
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called")
+            monkeypatch.setattr(owner, name, forbidden)
+        calls = TestBandStructure.count_eigvalsh(monkeypatch)
+        prof = d.potential_profile(w)
+        n = w.grid.n_modes
+        assert prof.eps_grid.size == 9
+        assert calls == [(n, n)] * 12
+
+
 @pytest.fixture(scope="module")
 def multiplier_setup():
     grid = d.FourierGrid(10, 42)

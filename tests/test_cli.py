@@ -333,6 +333,49 @@ def test_config_rejected_before_any_work(tmp_path, capsys, sub, old, new, args, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "--set"])
+def test_nesting_past_the_c_stack_exits_2(tmp_path, where):
+    # libyaml composes nested nodes on the C stack: 50,000 levels once killed
+    # the process with a segmentation fault, so this runs in a subprocess.
+    deep = "[" * 50_000 + "]" * 50_000
+    path = tmp_path / "config.yaml"
+    text = FREE_CONFIG.read_text()
+    path.write_text(text + f"extra: {deep}\n" if where == "config" else text)
+    extra = ("--set", f"extra={deep}") if where == "--set" else ()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "dirac2d.cli", "validate", "--config", str(path),
+                           "--out", str(tmp_path / "o"), *extra],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config schema error:")
+    assert f"nested deeper than {cli.MAX_YAML_DEPTH} levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_yaml_depth_limit():
+    # The limit itself loads and one level more does not; text with more
+    # indicator characters than the limit but little nesting takes the event
+    # scan and loads.
+    limit = cli.MAX_YAML_DEPTH
+    assert isinstance(cli.load_yaml("[" * limit + "]" * limit), list)
+    with pytest.raises(yaml.YAMLError, match=f"nested deeper than {limit} levels"):
+        cli.load_yaml("[" * (limit + 1) + "]" * (limit + 1))
+    assert cli.load_yaml("extra: [" + ", ".join(["-1"] * 3000) + "]") == {"extra": [-1] * 3000}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_profile_potential_exits_4(tmp_path, capsys):
+    # |W|^2 overflows to inf, and eigvalsh of C_W^H C_W does not converge.
+    code = run("profile", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
+               "--set", "grid.truncation_radius=2", "--set", "grid.sample_resolution=12",
+               "--set", "profile.w={constant: 1e160}")
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("inadmissible parameters:")
+    assert "Traceback" not in err
+
+
 def check_edge_config(config, tmp_path, capsys, sub, assignment):
     code = run(sub, "--config", config, "--out", tmp_path / "o",
                "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
