@@ -388,20 +388,25 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     gamma ~ 2 (n+1) u in complex arithmetic, whatever the order of the inner
     products (Higham, Accuracy and Stability, Thm 10.3), so
     ||dB||_2 <= 4 n (n+1) u M.  As B + dB is positive semidefinite,
-    lambda_max(H) <= best - delta + ||dB||_2, and ``eigvalsh`` (backward
-    stable, error at most n^2 u M) would return at most
-    best - delta + 5 (n+1)^2 u M, rounding of B included.  delta =
+    lambda_max(H) <= best - delta + ||dB||_2.  Taking the error of
+    ``eigvalsh`` to be at most n^2 u M, it would return at most
+    best - delta + 5 (n+1)^2 u M, rounding of B included, and delta =
     4 (n+1)^2 eps_mach M = 8 (n+1)^2 u M puts that below ``best``, so the
-    skipped value could not have raised the max.  A factorisation that fails
-    (a near tie, a non-finite entry) only sends the corner to ``eigvalsh``.
+    skipped value could not have raised the max.  The n^2 u M is an assumed
+    constant, not a proven one: LAPACK's Hermitian eigensolvers are backward
+    stable but state no constant.  The plain-max oracle tests in
+    ``tests/test_analysis.py`` are what check the bits.  A factorisation that
+    fails (a near tie, a non-finite entry) only sends the corner to
+    ``eigvalsh``.
     The factorisation is a loop of numpy products, not LAPACK's: numpy's
-    ``cholesky`` pages in about 0.5 MiB more OpenBLAS code, and scipy's runs
-    on scipy's own OpenBLAS, whose threads contend with numpy's when the
-    calls alternate.
+    ``cholesky`` pages in about 0.5 MiB more OpenBLAS code (the benchmark's
+    peak RSS read 0.28 MiB higher with it), and scipy's runs on scipy's own
+    OpenBLAS, whose threads contend with numpy's when the calls alternate.
     """
     grid = w_field.grid
     c = multiplication_operator(w_field).matrix
     ctc = c.conj().T @ c
+    del c
     if np.max(np.abs(ctc)) == 0.0:
         return np.zeros(eps_grid.size)
     d2_list = [(k1 + TWO_PI * grid.n1) ** 2 + (k2 + TWO_PI * grid.n2) ** 2
@@ -413,16 +418,17 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     out = np.empty(eps_grid.size)
     for i, eps in enumerate(eps_grid):
         delta = 4 * (n + 1) ** 2 * np.finfo(float).eps * (ctc_norm + eps**2 * d2_norm)
-        best = None
-        for d2 in d2_list:
-            if best is not None:
-                b = -ctc
-                b[diag] += eps**2 * d2
-                b[diag] += best - delta
-                if _cholesky_completes(b):
-                    continue
+        best = np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2_list[0]))[-1]
+        for d2 in d2_list[1:]:
+            b = -ctc
+            b[diag] += eps**2 * d2
+            b[diag] += best - delta
+            below = _cholesky_completes(b)
+            del b  # n x n: freed before eigvalsh allocates its own copies
+            if below:
+                continue
             top = np.linalg.eigvalsh(ctc - (eps**2) * np.diag(d2))[-1]
-            if best is None or top > best:
+            if top > best:  # the builtin max's test, NaN included
                 best = top
         out[i] = np.sqrt(max(best, 0.0))
     return out

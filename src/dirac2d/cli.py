@@ -88,20 +88,15 @@ MAX_YAML_DEPTH = 2000
 
 
 def load_yaml(text: str):
-    """``yaml.load`` with YAML_LOADER, refusing input nested past MAX_YAML_DEPTH.
-
-    Every collection opens with a '[', '{', '-', '?' or ':' of its own, so text
-    with no more of them than the limit skips the event scan (and its parser).
-    """
-    if sum(map(text.count, "[{-?:")) > MAX_YAML_DEPTH:
-        depth = 0
-        for event in yaml.parse(text, Loader=YAML_LOADER):
-            if isinstance(event, (yaml.MappingStartEvent, yaml.SequenceStartEvent)):
-                depth += 1
-                if depth > MAX_YAML_DEPTH:
-                    raise yaml.YAMLError(f"nested deeper than {MAX_YAML_DEPTH} levels")
-            elif isinstance(event, (yaml.MappingEndEvent, yaml.SequenceEndEvent)):
-                depth -= 1
+    """``yaml.load`` with YAML_LOADER, refusing input nested past MAX_YAML_DEPTH."""
+    depth = 0
+    for event in yaml.parse(text, Loader=YAML_LOADER):
+        if isinstance(event, (yaml.MappingStartEvent, yaml.SequenceStartEvent)):
+            depth += 1
+            if depth > MAX_YAML_DEPTH:
+                raise yaml.YAMLError(f"nested deeper than {MAX_YAML_DEPTH} levels")
+        elif isinstance(event, (yaml.MappingEndEvent, yaml.SequenceEndEvent)):
+            depth -= 1
     return yaml.load(text, Loader=YAML_LOADER)
 
 

@@ -355,9 +355,8 @@ def test_nesting_past_the_c_stack_exits_2(tmp_path, where):
 
 
 def test_load_yaml_depth_limit():
-    # The limit itself loads and one level more does not; text with more
-    # indicator characters than the limit but little nesting takes the event
-    # scan and loads.
+    # The limit itself loads and one level more does not; a long list nested
+    # one level deep loads.
     limit = cli.MAX_YAML_DEPTH
     assert isinstance(cli.load_yaml("[" * limit + "]" * limit), list)
     with pytest.raises(yaml.YAMLError, match=f"nested deeper than {limit} levels"):
