@@ -27,13 +27,18 @@ and a factor's CSR form scales its columns by each term's ``diag`` and sums
 the terms in builder order.  ``apply`` and ``adjoint_apply`` multiply through
 these forms (a full-support factor's rows hold up to nc * n_modes entries).
 
-The column route (``columns``) builds chosen columns of the dense Galerkin
-matrix right to left: the last factor contributes only the needed columns of
+The column route builds chosen columns of the dense Galerkin matrix right to
+left as (row component, column component) spinor blocks, and only the blocks
+some product reaches: the last factor contributes only the needed columns of
 its convolution blocks (read from one strided view of the coefficients), and
-every earlier factor is one dense product per term, or one sparse product
-when band-limited (band radius b with 2b < M, so a row holds
-(2b+1)^2 <= n_modes / 4 nonzeros).  ``matrix`` is this route over every
-column; ``restricted_operator_distance`` uses it on the probed columns only.
+every earlier factor is one dense product per term, or one sparse product per
+spinor block when band-limited (band radius b with 2b < M, so a row holds
+(2b+1)^2 <= n_modes / 4 nonzeros).  ``columns`` assembles the blocks into a
+dense array, and ``matrix`` is ``columns`` over every column;
+``restricted_operator_distance`` reads the blocks of the probed columns
+directly.  The dense products and the distance's Gram matrices run through
+``scipy.linalg`` BLAS/LAPACK: numpy loads a second OpenBLAS, and the two
+thread pools contend when calls alternate with SuperLU and ARPACK.
 
 ``TruncatedOperator.route`` is the one place the fields pick how a fiber is
 solved: ``per-mode`` (constant fields), ``sparse LU`` (band-limited fields) or
@@ -193,6 +198,27 @@ def _factor_csr(factor, n: int, nc: int) -> scipy.sparse.csr_matrix:
     return total
 
 
+def _factor_blocks(factor, n: int):
+    """Yield ``(i, j, a)`` for the spinor blocks of a factor, computed one at a time.
+
+    A band-limited factor gives one CSR matrix per block (i, j), its terms
+    summed in builder order; otherwise each term gives its dense convolution
+    matrix with the columns scaled by ``diag``.
+    """
+    if _band_limited(factor):
+        terms = {}
+        for i, j, field, diag in factor:
+            terms.setdefault((i, j), []).append((0, 0, field, diag))
+        for (i, j), block_terms in terms.items():
+            yield i, j, _factor_csr(block_terms, n, 1)
+        return
+    for i, j, field, diag in factor:
+        a = _convolution_matrix(field, slice(None))
+        if diag is not None:
+            a *= diag
+        yield i, j, a
+
+
 # ---------------------------------------------------------------------------
 # The public operator type
 # ---------------------------------------------------------------------------
@@ -207,9 +233,9 @@ class TruncatedOperator:
 
     ``apply`` multiplies by each factor's CSR form (built on first use and
     cached); ``columns`` builds chosen columns of the dense Galerkin matrix
-    from convolution blocks, and ``matrix`` is all of them.  Both describe the
-    same truncated operator and agree to rounding.  The factors are fixed at
-    assembly; ``matrix`` too is built on first use and cached.
+    from their live spinor blocks, and ``matrix`` is all of them.  Both
+    describe the same truncated operator and agree to rounding.  The factors
+    are fixed at assembly; ``matrix`` too is built on first use and cached.
     """
 
     def __init__(self, grid: FourierGrid, n_components: int, factors,
@@ -255,43 +281,62 @@ class TruncatedOperator:
             vec = a @ vec
         return vec
 
-    def columns(self, idx) -> np.ndarray:
-        """Columns ``idx`` (strictly ascending) of the dense Galerkin matrix.
+    def _column_blocks(self, idx: np.ndarray) -> tuple[list, dict]:
+        """The live spinor blocks of columns ``idx`` (strictly ascending).
 
-        The matrix is built right to left: the last factor contributes only
-        the needed columns of its convolution blocks, and every earlier
-        factor is one dense product per (i, j) block it has and nonzero
-        block of the product so far, so the cost scales with ``len(idx)``.
+        Returns ``(cols, blocks)``: ``cols[c]`` is the slice of ``idx`` that
+        falls in spinor component c, and ``blocks`` maps each (row component,
+        column component) pair that the factors reach to its dense
+        (n_modes, len(cols[c])) block; every other block is zero and is never
+        built.  The last factor contributes the needed columns of its
+        convolution blocks, each block's terms summed from zero in builder
+        order; every earlier factor multiplies the live blocks, right to left.
         """
         n = self.grid.n_modes
-        idx = np.asarray(idx)
         if np.any(np.diff(idx) <= 0):
             raise ValueError("column indices must be strictly ascending")
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
+            raise ValueError(f"column indices must lie in [0, {self.dim})")
         comp, mode = np.divmod(idx, n)
         bounds = np.searchsorted(comp, np.arange(self.n_components + 1))
         cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        rows = [slice(i * n, (i + 1) * n) for i in range(self.n_components)]
-        out = np.zeros((self.dim, idx.size), dtype=np.complex128)
+        blocks = {}
         for i, j, field, diag in self.factors[-1]:
             c = _convolution_matrix(field, mode[cols[j]])
-            out[rows[i], cols[j]] += c if diag is None else c * diag[mode[cols[j]]]
-        # (row component, column component) blocks of ``out`` that are not zero.
-        live = {(i, j) for i, j, _, _ in self.factors[-1]}
+            if (i, j) not in blocks:
+                blocks[i, j] = np.zeros_like(c)
+            blocks[i, j] += c if diag is None else c * diag[mode[cols[j]]]
         for factor in reversed(self.factors[:-1]):
-            reached = {(i, c) for i, j, _, _ in factor for row, c in live if row == j}
-            if _band_limited(factor):
-                out = _factor_csr(factor, n, self.n_components) @ out
-            else:
-                nxt = np.zeros_like(out)
-                for i, j, field, diag in factor:
-                    block = _convolution_matrix(field, slice(None))
-                    if diag is not None:
-                        block *= diag
-                    for row, c in live:
-                        if row == j:
-                            nxt[rows[i], cols[c]] += block @ out[rows[j], cols[c]]
-                out = nxt
-            live = reached
+            reached = {}
+            for i, j, a in _factor_blocks(factor, n):
+                for (row, c), x in blocks.items():
+                    if row != j:
+                        continue
+                    if scipy.sparse.issparse(a):
+                        y = a @ x
+                    else:
+                        # a @ x on Fortran-ordered views, so f2py copies nothing.
+                        y = scipy.linalg.blas.zgemm(1.0, x.T, a.T).T
+                    reached[i, c] = reached[i, c] + y if (i, c) in reached else y
+            blocks = reached
+        return cols, blocks
+
+    def columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` (strictly ascending) of the dense Galerkin matrix.
+
+        The array is assembled from the live spinor blocks of
+        :meth:`_column_blocks`, so the cost scales with ``len(idx)`` and a block
+        that no product reaches is neither built nor multiplied.  A product's
+        dense products run through ``scipy.linalg.blas.zgemm``, the OpenBLAS
+        that SuperLU and ARPACK use: numpy loads its own, and the two thread
+        pools contend when a gauge computation alternates between them.
+        """
+        idx = np.asarray(idx)
+        cols, blocks = self._column_blocks(idx)
+        n = self.grid.n_modes
+        out = np.zeros((self.dim, idx.size), dtype=np.complex128)
+        for (i, c), block in blocks.items():
+            out[i * n:(i + 1) * n, cols[c]] = block
         return out
 
     @property
@@ -477,14 +522,54 @@ def restricted_operator_distance(a: TruncatedOperator, b: TruncatedOperator,
     The unrestricted difference of two truncated operators is dominated by
     window-boundary truncation effects, so identities between operators are
     measured on the resolved half-window by default.
+
+    ||D||_2^2 is the top eigenvalue of the Gram matrix D^H D of the probed
+    columns D, and it is read from the live spinor blocks of D
+    (:meth:`TruncatedOperator._column_blocks`).  Column components that share
+    no live row component do not couple in D^H D, so the Gram matrix is block
+    diagonal over the groups that do.  For the off-diagonal D = [[0, X],
+    [Y, 0]] of a gauge identity that is Y^H Y and X^H X, two half-size
+    eigenproblems; a fiber with V0/V3 blocks is one coupled group.  Each Gram
+    matrix is one ``zherk`` and one ``scipy.linalg.eigvalsh`` (``zheevd``, as
+    in numpy), through the OpenBLAS that SuperLU and ARPACK use, so
+    a gauge computation does not alternate between numpy's and scipy's
+    thread pools.  A non-finite entry raises ``ValueError`` there.
     """
     a._require_compatible(b)
     grid = a.grid
     if probe_radius is None:
         probe_radius = max(1, int(grid.truncation_radius * DEFAULTS["probe_radius_fraction"]))
+    elif probe_radius < 0:
+        raise ValueError(f"probe_radius must be >= 0, got {probe_radius}")
     sel = (np.abs(grid.n1) <= probe_radius) & (np.abs(grid.n2) <= probe_radius)
     idx = np.nonzero(np.concatenate([sel] * a.n_components))[0]
-    diff = a.columns(idx) - b.columns(idx)
-    # ||D||_2^2 is the top eigenvalue of the small Gram matrix D^H D.
-    top = np.linalg.eigvalsh(diff.conj().T @ diff)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    _, blocks_a = a._column_blocks(idx)
+    _, diff = b._column_blocks(idx)
+    for key, block in diff.items():
+        if key not in blocks_a:
+            np.negative(block, out=block)
+    for key, block in blocks_a.items():
+        diff[key] = block - diff[key] if key in diff else block
+    groups = []  # (row components, column components) coupled through live blocks
+    for r, c in sorted(diff):
+        rows, comps = {r}, {c}
+        for group in [g for g in groups if r in g[0] or c in g[1]]:
+            groups.remove(group)
+            rows |= group[0]
+            comps |= group[1]
+        groups.append((rows, comps))
+    width = {c: block.shape[1] for (_, c), block in diff.items()}
+    top = 0.0
+    for rows, comps in groups:
+        if len(rows) == len(comps) == 1:
+            d = diff[min(rows), min(comps)]
+        else:
+            d = np.block([[diff[r, c] if (r, c) in diff
+                           else np.zeros((grid.n_modes, width[c]), dtype=np.complex128)
+                           for c in sorted(comps)] for r in sorted(rows)])
+        # zherk on the Fortran-ordered view d^T gives conj(D^H D), which has the
+        # same eigenvalues, in its upper triangle.
+        gram = scipy.linalg.blas.zherk(1.0, d.T)
+        top = max(top, scipy.linalg.eigvalsh(gram, lower=False, driver="evd",
+                                             overwrite_a=True)[-1])
+    return float(np.sqrt(top))

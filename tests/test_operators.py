@@ -415,7 +415,11 @@ class TestGaugeConjugation:
         grid, cs, _ = random_set(seed=14)
         a = d.assemble_dirac(cs, None, (0.5, 0.5))
         b = d.assemble_dirac(cs, None, (0.5, 0.5))
-        assert d.restricted_operator_distance(a, b) < 1e-13
+        assert d.restricted_operator_distance(a, b) == 0.0
+        # Products, with off-diagonal and with coupled spinor blocks.
+        for lhs, rhs in (conjugated_pair(6, seed=74), coupled_pair(6, seed=75)):
+            for op in (lhs, rhs):
+                assert d.restricted_operator_distance(op, op) == 0.0
 
 
 def conjugated_pair(m, seed):
@@ -431,13 +435,69 @@ def conjugated_pair(m, seed):
     return lhs, rhs
 
 
-def fft_probe_distance(a, b, probe_radius=None):
-    """The restricted distance by FFT products on identity probes and an ord=2 SVD norm."""
+def coupled_pair(m, seed):
+    """As :func:`conjugated_pair`, with V0/V3 blocks in the conjugated fiber, so that
+    every spinor block of the difference is live."""
+    grid, cs, rng = random_set(m=m, seed=seed)
+    c1 = d.random_trig_field(grid, rng, 2, 0.5)
+    c2 = d.random_trig_field(grid, rng, 2, 0.5)
+    v0, v3 = (d.random_trig_field(grid, rng, 1, 0.5, zero_mean=False) for _ in range(2))
+    zero = d.PeriodicScalarField.constant(grid, 0.0)
+    sol = d.solve_gauge(cs, c1, c2)
+    z = d.ComplexQuasimomentum(sol.k, sol.kappa)
+    fiber = d.assemble_dirac(cs, d.MatrixPotential(v0, zero, zero, v3), z)
+    lhs = d.gauge_conjugate(fiber, sol.phi, sol.psi, 1.0)
+    rhs = d.assemble_dirac(cs, d.MatrixPotential(v0, c1, c2, v3), (0.0, 0.0))
+    return lhs, rhs
+
+
+def probe_index(a, probe_radius=None):
+    """The columns the restricted distance probes: |N|_inf <= probe_radius in every component."""
     grid = a.grid
     if probe_radius is None:
         probe_radius = max(1, int(grid.truncation_radius * d.DEFAULTS["probe_radius_fraction"]))
     sel = (np.abs(grid.n1) <= probe_radius) & (np.abs(grid.n2) <= probe_radius)
-    idx = np.nonzero(np.concatenate([sel] * a.n_components))[0]
+    return np.nonzero(np.concatenate([sel] * a.n_components))[0]
+
+
+def gram_distance(a, b, probe_radius=None):
+    """The restricted distance as one full Gram matrix: eigvalsh(D^H D) of the full probed columns."""
+    idx = probe_index(a, probe_radius)
+    diff = a.columns(idx) - b.columns(idx)
+    return float(np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0)))
+
+
+def numpy_columns(op, idx):
+    """Columns ``idx`` built on the full (dim, len(idx)) array with numpy's ``@``.
+
+    A band-limited factor is one CSR product of the whole factor, every other
+    factor one numpy product per term and column component, so no block
+    structure is used.
+    """
+    from dirac2d.operators import _band_limited, _convolution_matrix, _factor_csr
+    n, nc = op.grid.n_modes, op.n_components
+    comp, mode = np.divmod(idx, n)
+    out = np.zeros((op.dim, idx.size), dtype=complex)
+    for i, j, field, diag in op.factors[-1]:
+        c = _convolution_matrix(field, mode[comp == j])
+        out[i * n:(i + 1) * n, comp == j] += c if diag is None else c * diag[mode[comp == j]]
+    for factor in reversed(op.factors[:-1]):
+        if _band_limited(factor):
+            out = _factor_csr(factor, n, nc) @ out
+            continue
+        nxt = np.zeros_like(out)
+        for i, j, field, diag in factor:
+            a = _convolution_matrix(field, slice(None))
+            a = a if diag is None else a * diag
+            for c in range(nc):
+                nxt[i * n:(i + 1) * n, comp == c] += a @ out[j * n:(j + 1) * n, comp == c]
+        out = nxt
+    return out
+
+
+def fft_probe_distance(a, b, probe_radius=None):
+    """The restricted distance by FFT products on identity probes and an ord=2 SVD norm."""
+    idx = probe_index(a, probe_radius)
     probe = np.zeros((a.dim, idx.size), dtype=np.complex128)
     probe[idx, np.arange(idx.size)] = 1.0
     return float(np.linalg.norm(fft_apply(a, probe) - fft_apply(b, probe), ord=2))
@@ -471,6 +531,104 @@ class TestColumnRoute:
             op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum(sol.k, sol.kappa))
             op = d.gauge_conjugate(op, sol.phi, sol.psi, 1.0)
             d.restricted_operator_distance(op, d.assemble_dirac(cs, None, (0.0, 0.0)))""")
+
+    def test_columns_refuse_unordered_or_out_of_range_indices(self):
+        op = d.assemble_dirac(random_set(m=3, seed=47)[1], None, (0.1, 0.2))
+        for idx in ([3, 3], [5, 2], [-1, 0], [5, op.dim]):
+            with pytest.raises(ValueError, match="column indices"):
+                op.columns(idx)
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_product_columns_match_numpy_products_bit_for_bit(self, m):
+        for seed in range(3):
+            for pair in (conjugated_pair, coupled_pair):
+                lhs, _ = pair(m, seed=60 + seed)
+                assert len(lhs.factors) == 3
+                for idx in (probe_index(lhs), np.sort(np.random.default_rng(seed).permutation(
+                        lhs.dim)[:m * m])):
+                    assert np.array_equal(lhs.columns(idx), numpy_columns(lhs, idx))
+
+
+class TestRestrictedDistance:
+    """The block-form distance against one full Gram matrix of the probed columns."""
+
+    @staticmethod
+    def gram_sizes(monkeypatch):
+        """Record the size of every Gram matrix the distance hands to ``eigvalsh``."""
+        sizes, eigvalsh = [], scipy.linalg.eigvalsh
+
+        def spy(a, **kw):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, **kw)
+        monkeypatch.setattr(d.operators.scipy.linalg, "eigvalsh", spy)
+        return sizes
+
+    @pytest.mark.parametrize("m", [6, 8])
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_off_diagonal_difference_splits_into_two_groups(self, m, seed, monkeypatch):
+        lhs, rhs = conjugated_pair(m, seed)
+        ref = gram_distance(lhs, rhs)
+        sizes = self.gram_sizes(monkeypatch)
+        got = d.restricted_operator_distance(lhs, rhs)
+        half = probe_index(lhs).size // 2
+        assert sizes == [half, half]
+        assert ref > 1e-8 and abs(got - ref) <= 1e-12 * ref
+
+    def test_block_live_in_one_operator_alone(self, monkeypatch):
+        # V0 = V3 leaves no (1, 1) block in a, V0 = -V3 no (0, 0) block in b, and the
+        # V1 difference couples both components: D = [[1, 1], [1, -1]] (x) I.
+        grid, cs, _ = random_set(seed=79)
+        const = lambda v: d.PeriodicScalarField.constant(grid, v)
+        a = d.assemble_dirac(cs, d.MatrixPotential(const(0.5), const(1.0), const(0.0),
+                                                   const(0.5)), (0.0, 0.0))
+        b = d.assemble_dirac(cs, d.MatrixPotential(const(0.5), const(0.0), const(0.0),
+                                                   const(-0.5)), (0.0, 0.0))
+        assert {(i, j) for i, j, _, _ in a.factors[0]} == {(0, 0), (0, 1), (1, 0)}
+        assert {(i, j) for i, j, _, _ in b.factors[0]} == {(1, 1), (0, 1), (1, 0)}
+        sizes = self.gram_sizes(monkeypatch)
+        for lhs, rhs in ((a, b), (b, a)):
+            got = d.restricted_operator_distance(lhs, rhs)
+            assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
+            assert got == pytest.approx(gram_distance(lhs, rhs), rel=1e-12)
+        assert sizes == [probe_index(a).size] * 2
+
+    def test_v0_v3_blocks_couple_into_one_group(self, monkeypatch):
+        lhs, rhs = coupled_pair(6, seed=73)
+        ref = gram_distance(lhs, rhs)
+        sizes = self.gram_sizes(monkeypatch)
+        got = d.restricted_operator_distance(lhs, rhs)
+        assert sizes == [probe_index(lhs).size]
+        assert ref > 1e-8 and abs(got - ref) <= 1e-12 * ref
+
+    def test_numpy_eigvalsh_is_not_called(self, monkeypatch):
+        lhs, rhs = conjugated_pair(6, seed=76)
+        ref = gram_distance(lhs, rhs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's eigvalsh was called")
+        monkeypatch.setattr(d.operators.np.linalg, "eigvalsh", refuse)
+        assert abs(d.restricted_operator_distance(lhs, rhs) - ref) <= 1e-12 * ref
+
+    def test_negative_probe_radius_is_refused(self):
+        lhs, rhs = conjugated_pair(4, seed=77)
+        with pytest.raises(ValueError, match="probe_radius"):
+            d.restricted_operator_distance(lhs, rhs, probe_radius=-1)
+        assert d.restricted_operator_distance(lhs, rhs, probe_radius=0) == pytest.approx(
+            gram_distance(lhs, rhs, probe_radius=0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises_in_eigvalsh(self, bad, monkeypatch):
+        lhs, rhs = conjugated_pair(6, seed=78)
+        coeffs = np.zeros(lhs.grid.n_modes, dtype=complex)
+        coeffs[lhs.grid.mode_index(1, 0)] = bad
+        term = (0, 1, d.PeriodicScalarField(lhs.grid, coeffs), None)
+        left, fiber, right = lhs.factors
+        for broken in (d.TruncatedOperator(lhs.grid, 2, [rhs.factors[0] + (term,)]),
+                       d.TruncatedOperator(lhs.grid, 2, [left, fiber + (term,), right])):
+            sizes = self.gram_sizes(monkeypatch)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                d.restricted_operator_distance(broken, rhs)
+            assert sizes  # the non-finite Gram matrix reached scipy's eigvalsh
 
 def band_limited_fiber(m, seed, degree):
     """A variable fiber plus a four-component potential, all of band radius ``degree``."""
