@@ -28,6 +28,8 @@ Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
 each block of points about 2 sqrt(n_max) elementwise passes and one BLAS-3
 product instead of n_max passes over the grid (see :func:`power_moments`).
+W and Psi are sampled in strips of columns that go straight to the kernel,
+so no array of the grid's size is held (see :func:`wiener_average`).
 
 Per-fiber work (each quasimomentum, each sweep point) runs serially, in grid
 order; BLAS/LAPACK inside each solve uses its own threads.
@@ -598,9 +600,14 @@ def required_resolution(psi: PeriodicScalarField, n_max: int) -> tuple[int, int]
 # Points per block of power_moments: its q + A rows of 2048 complex values
 # take 1 MiB at n_max = 256 and 2 MiB at n_max = 1024, so they stay in cache.
 _MOMENT_BLOCK = 2048
+# Points per strip of the quadrature grid in wiener_average, which takes
+# max(1, 8192 // S1) columns at a time: 4 blocks, 128 KiB of W or Psi, and
+# 16 whole columns at S1 = 512.
+_STRIP_POINTS = 8192
 
 
-def power_moments(w: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
+def power_moments(w: np.ndarray, z: np.ndarray, n_max: int,
+                  sums: np.ndarray | None = None) -> np.ndarray | None:
     """mean(w * z**nu) for nu = 1..n_max, as one matrix product per block of points.
 
     With q = ceil(sqrt(n_max)) and A = ceil(n_max/q), every nu = a q + b
@@ -609,21 +616,25 @@ def power_moments(w: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
     (about q + A elementwise passes over the block), and all n_max moment sums
     of the block are the entries of the (A x block)(block x q) product U V^T,
     a BLAS-3 ZGEMM.  The block is small enough that U and V stay in cache, so
-    the grid is read once instead of n_max times and no array of the grid's
-    size is allocated.
+    the points are read once instead of n_max times.
 
     The blocks are fixed and their products are added in order.  The last
     block is zero-padded, so every product has the same shape and BLAS splits
     each sum the same way at any thread count (a product with an odd-sized
     tail rounded differently at 1 and 2 OpenBLAS threads).
+
+    A grid can be fed in pieces: pass the same zeroed (A, q) array ``sums``
+    (:func:`_moment_sums`) to every call, and the blocks' products are added
+    into it and None is returned; the moments are then
+    ``sums.ravel()[:n_max] / points``.  Every piece but the last must hold
+    whole blocks, so that only the last block is padded.
     """
     w, z, n_max = np.ravel(w), np.ravel(z), int(n_max)
-    q = math.isqrt(n_max - 1) + 1
-    n_rows = -(-n_max // q)
+    total = _moment_sums(n_max) if sums is None else sums
+    n_rows, q = total.shape
     v = np.empty((q, _MOMENT_BLOCK), dtype=np.complex128)
     u = np.empty((n_rows, _MOMENT_BLOCK), dtype=np.complex128)
     zq = np.empty(_MOMENT_BLOCK, dtype=np.complex128)
-    sums = np.zeros((n_rows, q), dtype=np.complex128)
     for start in range(0, z.size, _MOMENT_BLOCK):
         wb, zb = w[start:start + _MOMENT_BLOCK], z[start:start + _MOMENT_BLOCK]
         if zb.size < _MOMENT_BLOCK:
@@ -636,8 +647,15 @@ def power_moments(w: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
         u[0] = 1.0
         for a in range(1, n_rows):
             np.multiply(u[a - 1], zq, out=u[a])
-        sums += u @ v.T
-    return sums.ravel()[:n_max] / z.size
+        total += u @ v.T
+    if sums is None:
+        return total.ravel()[:n_max] / z.size
+
+
+def _moment_sums(n_max: int) -> np.ndarray:
+    """The zeroed (A, q) sums of :func:`power_moments` for moments 1..n_max."""
+    q = math.isqrt(int(n_max) - 1) + 1
+    return np.zeros((-(-int(n_max) // q), q), dtype=np.complex128)
 
 
 def quadrature_resolution(psi: PeriodicScalarField, n_max: int,
@@ -667,24 +685,48 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
     8 samples per oscillation at nu = n_max along each axis; the automatic
     resolution guarantees this, an explicit one is checked and rejected with a
     :class:`ResolutionError` when too coarse (see :func:`quadrature_resolution`).
+
+    W and Psi are sampled in strips of whole columns, about ``_STRIP_POINTS``
+    points each (:meth:`PeriodicScalarField.sample_strips`), and each strip
+    goes straight to :func:`power_moments`, so no array of the grid's size is
+    held.  The points of a strip that do not fill a whole block are carried
+    into the next strip, so the grid is cut into ceil(S1 S2 / 2048) blocks as
+    if it came in one piece.  For a non-real W or Psi the minus moments are
+    summed in the same walk.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     (s1, s2), req = quadrature_resolution(psi, n_max, resolution)
 
-    # e_plus = exp(2 pi i (Psi - x2)) is formed in the buffer of the Psi
-    # samples rather than in two more grid-sized arrays.
-    e_plus = psi.samples((s1, s2))
-    ws = w.samples((s1, s2))
-    e_plus -= (np.arange(s2) / s2)[None, :]
-    e_plus *= 2j * np.pi
-    np.exp(e_plus, out=e_plus)
+    real = w.is_real() and psi.is_real()
+    plus, minus = _moment_sums(n_max), None if real else _moment_sums(n_max)
 
-    i_plus = power_moments(ws, e_plus, n_max)
-    if w.is_real() and psi.is_real():
-        i_minus = np.conj(i_plus)
-    else:
-        i_minus = power_moments(ws, np.conj(e_plus), n_max)
+    def add(wb, zb):
+        if not zb.size:
+            return
+        power_moments(wb, zb, n_max, plus)
+        if minus is not None:
+            power_moments(wb, np.conj(zb), n_max, minus)
+
+    tail_w = tail_z = np.empty(0, dtype=np.complex128)
+    start = 0
+    width = max(1, _STRIP_POINTS // s1)
+    for ws, zs in zip(w.sample_strips((s1, s2), width), psi.sample_strips((s1, s2), width)):
+        # z = exp(2 pi i (Psi - x2)) is formed in the buffer of the Psi samples.
+        zs -= np.arange(start, start + zs.shape[1]) / s2
+        start += zs.shape[1]
+        zs *= 2j * np.pi
+        np.exp(zs, out=zs)
+        wf, zf = ws.ravel(), zs.ravel()
+        if tail_z.size:
+            wf, zf = np.concatenate((tail_w, wf)), np.concatenate((tail_z, zf))
+        whole = wf.size - wf.size % _MOMENT_BLOCK
+        add(wf[:whole], zf[:whole])
+        tail_w, tail_z = wf[whole:], zf[whole:]
+    add(tail_w, tail_z)
+
+    i_plus = plus.ravel()[:n_max] / (s1 * s2)
+    i_minus = np.conj(i_plus) if real else minus.ravel()[:n_max] / (s1 * s2)
 
     abs_p = np.abs(i_plus)
     abs_m = np.abs(i_minus)

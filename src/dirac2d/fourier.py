@@ -201,19 +201,37 @@ class PeriodicScalarField:
         """Evaluate on a uniform grid; exact for the retained band.
 
         resolution may be an int (square grid) or a pair (S1, S2); defaults to
-        the grid's sample resolution.
+        the grid's sample resolution.  This is the one strip of
+        :meth:`sample_strips` that spans all S2 columns.
+        """
+        (spec,) = self.sample_strips(resolution)
+        return spec
+
+    def sample_strips(self, resolution=None, width=None):
+        """Yield the samples of :meth:`samples` in strips of ``width`` columns.
+
+        Each strip is a new (S1, width) array, the last one narrower when
+        ``width`` does not divide S2; None means one strip of all S2 columns.
+        The transform runs axis by axis as ifft2 does, so every strip holds
+        the same bits as the matching columns of the full grid.  The axis-1
+        pass runs once, over the 2M + 1 rows n1 = -M..M that hold
+        coefficients; each strip then scatters its columns of those rows and
+        runs the axis-0 pass, so no array of the grid's size is held.
         """
         s1, s2 = _resolve_resolution(self.grid, resolution)
-        m = self.grid.truncation_radius
-        spec = np.zeros((s1, s2), dtype=np.complex128)
-        spec[self.grid.n1 % s1, self.grid.n2 % s2] = self.coeffs
-        # Axis by axis as ifft2 does (same bits), in place; the first pass runs
-        # only over the rows n1 = 0..M and -M..-1 that hold coefficients.
-        for rows in (spec[: m + 1], spec[s1 - m :]):
-            np.fft.ifft(rows, axis=1, out=rows)
-        np.fft.ifft(spec, axis=0, out=spec)
-        spec *= s1 * s2
-        return spec
+        g = self.grid
+        rows = np.zeros((g.side, s2), dtype=np.complex128)
+        rows[g.n1 + g.truncation_radius, g.n2 % s2] = self.coeffs
+        np.fft.ifft(rows, axis=1, out=rows)
+        at = np.arange(-g.truncation_radius, g.truncation_radius + 1) % s1
+        width = s2 if width is None else width
+        for start in range(0, s2, width):
+            cols = slice(start, min(start + width, s2))
+            strip = np.zeros((s1, cols.stop - start), dtype=np.complex128)
+            strip[at] = rows[:, cols]
+            np.fft.ifft(strip, axis=0, out=strip)
+            strip *= s1 * s2
+            yield strip
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate sum_N phi_N e^{2 pi i (N, x)} at arbitrary points (n, 2)."""

@@ -217,6 +217,7 @@ def _factor_blocks(factor, n: int):
         if diag is not None:
             a *= diag
         yield i, j, a
+        del a  # so the next block is built without this one alive
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +316,11 @@ class TruncatedOperator:
                     if scipy.sparse.issparse(a):
                         y = a @ x
                     else:
-                        # a @ x on Fortran-ordered views, so f2py copies nothing.
-                        y = scipy.linalg.blas.zgemm(1.0, x.T, a.T).T
+                        # (x^T a^T)^T with a as it is: a dense block is
+                        # Fortran-ordered, and f2py would copy its C-ordered a.T.
+                        y = scipy.linalg.blas.zgemm(1.0, x.T, a, trans_b=1).T
                     reached[i, c] = reached[i, c] + y if (i, c) in reached else y
+                del a  # so the generator builds the next block without this one alive
             blocks = reached
         return cols, blocks
 

@@ -869,6 +869,53 @@ class TestWiener:
             tracemalloc.stop()
         assert peak <= w.nbytes / 4
 
+    @staticmethod
+    def whole_grid_moments(w, psi, n_max, resolution):
+        """I^+ and I^- from both fields sampled on the whole grid, one kernel call each."""
+        s1, s2 = resolution
+        e_plus = psi.samples(resolution)
+        e_plus -= (np.arange(s2) / s2)[None, :]
+        e_plus *= 2j * np.pi
+        np.exp(e_plus, out=e_plus)
+        ws = w.samples(resolution)
+        return power_moments(ws, e_plus, n_max), power_moments(ws, np.conj(e_plus), n_max)
+
+    # The required grids hold partial blocks (neither S1 S2 nor a strip's
+    # points are a multiple of 2048), so the walk carries points across
+    # strips; at S1 = 128 every strip is 64 columns, 4 whole blocks.
+    @pytest.mark.parametrize("seed,real,resolution", [
+        (21, True, None), (22, True, None), (23, False, None), (21, True, (128, 640))])
+    def test_strips_match_the_whole_grid_formula(self, seed, real, resolution):
+        grid, inst, rng = random_set(m=4, seed=seed)
+        psi = d.solve_canonical_gauge(inst).psi
+        w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False, real=real)
+        assert w.is_real() == real
+        rep = d.wiener_average(w, psi, 64, 0.1, resolution=resolution)
+        s1, s2 = rep.resolution
+        assert (s1 * s2 % 2048 != 0) == (resolution is None)
+        i_plus, i_minus = self.whole_grid_moments(w, psi, 64, rep.resolution)
+        tol = 1e-15 * np.max(np.abs(w.samples()))
+        assert np.max(np.abs(rep.abs_i_plus - np.abs(i_plus))) <= tol
+        assert np.max(np.abs(rep.abs_i_minus - np.abs(i_minus))) <= tol
+        averages = np.cumsum(np.abs(i_plus) ** 2) / np.arange(1, 65)
+        assert np.max(np.abs(rep.averages - averages)) <= tol
+
+    def test_wiener_peak_memory(self):
+        # W and Psi are sampled in strips; the whole-grid formula holds two
+        # complex arrays of the grid.
+        grid = d.FourierGrid(6, 26)
+        rng = np.random.default_rng(11)
+        psi = d.solve_canonical_gauge(d.random_gamma_instance(grid, rng, degree=2,
+                                                              variation=0.3)).psi
+        w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False)
+        tracemalloc.start()
+        try:
+            d.wiener_average(w, psi, 256, 0.1, resolution=(512, 2496))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 2496 * 16 / 4
+
 
 class TestCoercivity:
     def test_margins_nonnegative_free_case(self):

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -616,6 +617,26 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "Traceback" not in err
     assert err.startswith("inadmissible parameters:") and "149. GiB" in err
+
+
+def test_unallocatable_wiener_grid_exits_4():
+    # n_max = 10^8 needs a 110810813 x 898273900 grid; the first large
+    # allocation, the 17 x 898273900 rows of the strip transform (228 GiB),
+    # fails at once.  The child's address space is capped at 4 GiB, so a host
+    # that overcommits memory refuses it too instead of paging it in.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, "-m", "dirac2d.cli", "wiener",
+                               "--config", str(VARIABLE_CONFIG), "--out", out,
+                               "--set", "wiener.n_max=100000000"],
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("inadmissible parameters:")
+    assert "Traceback" not in proc.stderr
 
 
 WIENER_M3 = ("--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",

@@ -71,6 +71,17 @@ class TestTransforms:
         spec[grid.n1 % s1, grid.n2 % s2] = fld.coeffs
         assert np.array_equal(fld.samples(resolution), np.fft.ifft2(spec) * (s1 * s2))
 
+    @pytest.mark.parametrize("m,resolution", [(3, (15, 23)), (4, (27, 19)), (8, (17, 33))])
+    @pytest.mark.parametrize("width", [1, 4, 7, 16, 100])
+    def test_strips_are_the_columns_of_samples_bit_for_bit(self, m, resolution, width):
+        # Widths 4 and 7 divide none of the S2 here, so the last strip is narrower.
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        fld = d.random_trig_field(grid, np.random.default_rng(m), degree=m, amplitude=1.0,
+                                  real=False)
+        strips = list(fld.sample_strips(resolution, width))
+        assert [s.shape[1] for s in strips[:-1]] == [width] * (len(strips) - 1)
+        assert np.array_equal(np.concatenate(strips, axis=1), fld.samples(resolution))
+
     def test_dimension_mismatch(self):
         grid = d.FourierGrid(3, 16)
         with pytest.raises(d.GridMismatchError):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +609,20 @@ class TestRestrictedDistance:
             raise AssertionError("numpy's eigvalsh was called")
         monkeypatch.setattr(d.operators.np.linalg, "eigvalsh", refuse)
         assert abs(d.restricted_operator_distance(lhs, rhs) - ref) <= 1e-12 * ref
+
+    def test_dense_left_factor_is_held_once(self):
+        # The conjugated fiber's left factor is dense: one n_modes^2 block per
+        # term, built one at a time.  Holding the previous block while the
+        # next is built, or copying a block for zgemm, reaches 3 blocks.
+        lhs, rhs = conjugated_pair(12, seed=78)
+        block = 16 * lhs.grid.n_modes ** 2
+        tracemalloc.start()
+        try:
+            d.restricted_operator_distance(lhs, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block
 
     def test_negative_probe_radius_is_refused(self):
         lhs, rhs = conjugated_pair(4, seed=77)
