@@ -44,7 +44,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
 from .errors import (
@@ -70,7 +69,7 @@ from .operators import (
     TruncatedOperator,
     assemble_dirac,
     assemble_dpm,
-    lanczos_lambda_max,
+    lanczos_singular_value,
     lu_solver,
     multiplication_operator,
 )
@@ -92,39 +91,21 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     """sigma_min of a truncated operator on its ``route``: the least per-mode
     block singular value, else A is factored once
     (:func:`~dirac2d.operators.lu_solver`) and seeded Lanczos
-    (:func:`~dirac2d.operators.lanczos_lambda_max`) finds lambda_max of
+    (:func:`~dirac2d.operators.lanczos_singular_value`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
     lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
-    singular in floating point and gives 0.0; if ARPACK fails (no convergence
-    or any other error) the value comes from a full SVD.  Only the dense route
-    holds the 16 dim^2-byte matrix (about 1 GiB at M = 32) and as much again
-    in LU factors.
+    singular in floating point and gives 0.0; if ARPACK fails the value comes
+    from a full SVD.  Only the dense route holds the 16 dim^2-byte matrix
+    (about 1 GiB at M = 32) and as much again in LU factors.
     """
     if op.route == "per-mode":
         return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
     solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse)
     if solve is None:
         return 0.0
-    try:
-        # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
-        lam = lanczos_lambda_max(lambda v: solve(solve(v, trans="H")), op.dim)
-    except scipy.sparse.linalg.ArpackError:
-        return float(scipy.linalg.svdvals(op.matrix)[-1])
-    return float(1.0 / np.sqrt(lam))
-
-
-def _singular_value_range(op: TruncatedOperator) -> tuple[float, float]:
-    """(sigma_min, sigma_max): the per-mode SVDs on the ``per-mode`` route, else
-    :func:`smallest_singular_value` and seeded Lanczos on A^H A (``svdvals``
-    if Lanczos fails)."""
-    if op.route == "per-mode":
-        s = np.linalg.svd(op.mode_blocks, compute_uv=False)
-        return float(s.min()), float(s.max())
-    try:
-        top = float(np.sqrt(lanczos_lambda_max(lambda v: op.adjoint_apply(op.apply(v)), op.dim)))
-    except scipy.sparse.linalg.ArpackError:
-        top = float(scipy.linalg.svdvals(op.matrix)[0])
-    return smallest_singular_value(op), top
+    # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
+    return lanczos_singular_value(lambda v: solve(solve(v, trans="H")), op.dim,
+                                  lambda: op.matrix, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +319,13 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, f
         dpm = assemble_dpm(coeffs, (k[0], k[1]), mu, s)
         weighted = TruncatedOperator(dpm.grid, 1, [[(i, j, field, diag / w)
                                                     for i, j, field, diag in dpm.factors[0]]])
-        low, high = _singular_value_range(weighted)
+        if weighted.route == "per-mode":
+            sv = np.linalg.svd(weighted.mode_blocks, compute_uv=False)
+            low, high = float(sv.min()), float(sv.max())
+        else:
+            high = lanczos_singular_value(lambda v: weighted.adjoint_apply(weighted.apply(v)),
+                                          weighted.dim, lambda: weighted.matrix, 0)
+            low = smallest_singular_value(weighted)
         c1 = min(c1, low**2)
         c2 = max(c2, high**2)
     return c1, c2
@@ -407,8 +394,12 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     """
     grid = w_field.grid
     c = multiplication_operator(w_field).matrix
-    ctc = c.conj().T @ c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ctc = c.conj().T @ c
     del c
+    # A Gram matrix has |ctc_ij| <= sqrt(ctc_ii ctc_jj): its diagonal decides.
+    if not np.isfinite(ctc.diagonal()).all():
+        raise InadmissibleParameterError("C_W^H C_W of the potential W is not finite")
     if np.max(np.abs(ctc)) == 0.0:
         return np.zeros(eps_grid.size)
     d2_list = [(k1 + TWO_PI * grid.n1) ** 2 + (k2 + TWO_PI * grid.n2) ** 2
@@ -417,6 +408,9 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     diag = np.diag_indices(n)
     ctc_norm = np.linalg.norm(ctc)
     d2_norm = max(np.linalg.norm(d2) for d2 in d2_list)
+    eps_top = float(np.max(np.abs(eps_grid)))
+    if not math.isfinite(eps_top * eps_top * float(d2_norm)):
+        raise InadmissibleParameterError(f"eps = {eps_top!r}: eps^2 |k' + 2 pi N|^2 is not finite")
     out = np.empty(eps_grid.size)
     for i, eps in enumerate(eps_grid):
         delta = 4 * (n + 1) ** 2 * np.finfo(float).eps * (ctc_norm + eps**2 * d2_norm)
@@ -528,6 +522,9 @@ def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
 
     absvals = np.sort(np.abs(w.samples()).ravel())
     top = float(absvals[-1])
+    if not math.isfinite(top * top):
+        raise InadmissibleParameterError(
+            f"|W|^2 of the potential W is not finite (max |W| = {top!r})")
 
     b_grid = np.linspace(0.0, top * (1.0 + 1e-6), 16) if b_grid is None else np.asarray(b_grid, dtype=float)
     count_grid = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096]) \
@@ -748,6 +745,7 @@ class CoercivityReport:
     lhs: np.ndarray
     rhs: np.ndarray
     c1: float
+    c2: float
     c7: float
     c8: float
     a: float
@@ -776,7 +774,7 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
 
     LHS is the squared fiber norm of the rotated-potential operator; RHS is
     (c1/6) sum_pm ||P^{T_pm(a)} phi_pm||_*^2 + c8 sum_pm ||P^{off} phi_pm||_{*,pm}^2.
-    c1 is the empirical equivalence constant at (k, mu); c7 is 1 when both
+    c1 and c2 are the empirical equivalence constants at (k, mu); c7 is 1 when both
     rotated potentials vanish and otherwise 1 + C_1(W)/pi for the larger
     relative-bound constant C_1 of W = vtilde0 +- vtilde3 (``PotentialProfile.c7``
     without the rest of the profile); c8 = c1^2 / (6 (c1 + 4 c7^2)).  When threshold
@@ -804,7 +802,7 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                 warnings.append(f"mu/pi = {nu_int} lies in an estimated excluded set")
                 break
 
-    c1, _ = estimate_c1_c2(coeffs, k, mu)
+    c1, c2 = estimate_c1_c2(coeffs, k, mu)
     if vtilde0.l2_norm() == 0.0 and vtilde3.l2_norm() == 0.0:
         c7 = 1.0
     else:
@@ -832,7 +830,7 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
         off = (weighted_norm(project(phi_p, ~t_plus.mask), weights, "star_plus") ** 2
                + weighted_norm(project(phi_m, ~t_minus.mask), weights, "star_minus") ** 2)
         rhs[t] = (c1 / 6.0) * on + c8 * off
-    return CoercivityReport(margins=lhs - rhs, lhs=lhs, rhs=rhs, c1=float(c1),
+    return CoercivityReport(margins=lhs - rhs, lhs=lhs, rhs=rhs, c1=float(c1), c2=float(c2),
                             c7=float(c7), c8=float(c8), a=float(a), mu=float(mu),
                             k=(float(k[0]), float(k[1])), warnings=tuple(warnings))
 

@@ -36,7 +36,6 @@ from .analysis import (
     band_structure,
     brillouin_grid,
     cross_term_check,
-    estimate_c1_c2,
     potential_profile,
     quadrature_resolution,
     sigma_min_sweep,
@@ -591,10 +590,12 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
     checks.append({"suite": "weighted_norms", "name": "||.||_* <= ||.||_{*,pm}",
                    "value": worst, "bound": 1e-9, "passed": worst <= 1e-9})
 
-    # Two-sided equivalence constants.
-    c1, c2 = estimate_c1_c2(coeffs, k, mu)
+    # Two-sided equivalence constants, from the coercivity check below.
+    canonical = solve_canonical_gauge(coeffs)
+    rep = verify_coercivity(coeffs, potential.v0, potential.v3, canonical.psi,
+                            mu, a, k, trials=trials, seed=ctx.seed + 3)
     checks.append({"suite": "two_sided", "name": "0 < c1_emp <= c2_emp",
-                   "value": [c1, c2], "bound": None, "passed": 0 < c1 <= c2})
+                   "value": [rep.c1, rep.c2], "bound": None, "passed": 0 < rep.c1 <= rep.c2})
 
     # Cross-term bound.
     w_field = potential.v1 if potential.v1.l2_norm() > 0 else coeffs.g
@@ -605,9 +606,6 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
                    "value": ct.max_ratio, "bound": 1.0, "passed": ct.max_ratio <= 1.0})
 
     # Coercivity margins with the configured diagonal potential.
-    canonical = solve_canonical_gauge(coeffs)
-    rep = verify_coercivity(coeffs, potential.v0, potential.v3, canonical.psi,
-                            mu, a, k, trials=trials, seed=ctx.seed + 3)
     min_margin = float(rep.margins.min())
     checks.append({"suite": "coercivity", "name": "LHS - RHS >= 0",
                    "value": min_margin, "bound": 0.0, "passed": min_margin >= 0.0})

@@ -42,9 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .defaults import DEFAULTS, TOLERANCES
 from .errors import DegenerateCokernelError, Dirac2DError, IllConditionedError
@@ -54,7 +52,7 @@ from .fourier import (
     PeriodicScalarField,
     sample_to_fourier,
 )
-from .operators import assemble_dpm, lanczos_lambda_max, lu_solver
+from .operators import assemble_dpm, lanczos_singular_value, lu_solver
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,11 @@ class _DPlusLU:
         self.chi = _phase_fix(y / np.linalg.norm(y))
         self.sigma_min = float(np.linalg.norm(self.adjoint @ self.chi))
 
-    def _lanczos_or_svdvals(self, matvec, power: float, index: int) -> float:
-        try:
-            return lanczos_lambda_max(matvec, self.sparse.shape[0]) ** power
-        except scipy.sparse.linalg.ArpackError:
-            return float(scipy.linalg.svdvals(self.sparse.toarray())[index])
-
     @cached_property
     def sigma_max(self) -> float:
         """s[0], from Lanczos on A^H A."""
-        return self._lanczos_or_svdvals(lambda v: self.adjoint @ (self.sparse @ v), 0.5, 0)
+        return lanczos_singular_value(lambda v: self.adjoint @ (self.sparse @ v),
+                                      self.sparse.shape[0], self.sparse.toarray, 0)
 
     @cached_property
     def sigma_second(self) -> float:
@@ -127,7 +120,7 @@ class _DPlusLU:
             v = v - chi * np.vdot(chi, v)
             y = solve(solve(v), trans="H")
             return y - chi * np.vdot(chi, y)
-        return self._lanczos_or_svdvals(matvec, -0.5, -2)
+        return lanczos_singular_value(matvec, self.sparse.shape[0], self.sparse.toarray, -2)
 
 
 def _cokernel_pair(coeffs: CoefficientSet, fac: _DPlusLU) -> CokernelPair:

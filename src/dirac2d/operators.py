@@ -44,10 +44,10 @@ thread pools contend when calls alternate with SuperLU and ARPACK.
 solved: ``per-mode`` (constant fields), ``sparse LU`` (band-limited fields) or
 ``dense LU`` (a product, or full-support fields such as gauge exponentials).
 
-A seeded Lanczos helper (:func:`lanczos_lambda_max`) serves every iterative
-eigenvalue the library takes of a Hermitian positive operator: the fiber
-sigma_min, the equivalence constants and the gauge solve's extreme singular
-values.
+One seeded Lanczos routine (:func:`lanczos_singular_value`) takes every
+iterative singular value the library needs, with its ``svdvals`` fallback:
+the fiber sigma_min, the equivalence constants and the gauge solve's s[0] and
+s[-2].
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class MatrixPotential:
     @property
     def grid(self) -> FourierGrid:
         return self.v0.grid
-
-    @classmethod
-    def zero(cls, grid: FourierGrid) -> "MatrixPotential":
-        z = PeriodicScalarField.constant(grid, 0.0)
-        return cls(z, z, z, z)
 
     @classmethod
     def diagonal(cls, grid: FourierGrid, v0=0.0, v3=0.0) -> "MatrixPotential":
@@ -405,23 +400,29 @@ def lu_solver(a):
     return None if info > 0 else solve
 
 
-def lanczos_lambda_max(matvec, dim: int) -> float:
-    """Largest eigenvalue of a Hermitian positive semidefinite operator on C^dim.
+def lanczos_singular_value(matvec, dim: int, dense, index: int) -> float:
+    """Singular value s[index] (descending) of an operator A on C^dim.
 
-    ARPACK ``eigs`` runs Lanczos to tol = 0 from a start vector drawn from
+    ``matvec`` applies A^H A when ``index`` is 0, so s[0] = sqrt(lambda_max);
+    for any other index it applies an inverse Gram whose lambda_max is
+    s[index]^-2, so s[index] = 1 / sqrt(lambda_max).  ARPACK ``eigs`` runs
+    Lanczos to tol = 0 from a start vector drawn from
     ``DEFAULTS["lanczos_seed"]`` and draws its restart vectors from the same
-    generator, so the value is the same on every run.  Raises
-    ``scipy.sparse.linalg.ArpackError`` when ARPACK fails, its subclass
-    ``ArpackNoConvergence`` when it does not converge.
+    generator, so the value is the same on every run.  If ARPACK fails (no
+    convergence or any other error) the value is ``svdvals(dense())[index]``;
+    ``dense`` is called only then.
     """
     rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    # eigsh would pass a complex operator on to eigs without ``rng``, and the
-    # value would vary run to run.
-    lam = scipy.sparse.linalg.eigs(op, k=1, which="LM", tol=0, v0=v0, rng=rng,
-                                   return_eigenvectors=False)
-    return float(lam[0].real)
+    try:
+        # eigsh would pass a complex operator on to eigs without ``rng``, and
+        # the value would vary run to run.
+        lam = scipy.sparse.linalg.eigs(op, k=1, which="LM", tol=0, v0=v0, rng=rng,
+                                       return_eigenvectors=False)[0].real
+    except scipy.sparse.linalg.ArpackError:
+        return float(scipy.linalg.svdvals(dense())[index])
+    return float(np.sqrt(lam) if index == 0 else 1.0 / np.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +436,10 @@ def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, i: int, j: int) 
     grid = coeffs.grid
     if not isinstance(z, ComplexQuasimomentum):
         z = ComplexQuasimomentum.real(z)
+    if not max(abs(z.k[0]), abs(z.k[1]), abs(mu)) < 2.0**53:
+        raise InadmissibleParameterError(
+            f"fiber at Re z = {z.k}, mu = {mu}: |Re z| and |mu| must stay below 2^53, "
+            "where k + 2 pi N no longer separates modes")
     s = 1.0 if sign == "+" else -1.0
     d1 = z.z1 + TWO_PI * grid.n1
     d2 = z.z2 + TWO_PI * grid.n2

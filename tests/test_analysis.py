@@ -149,6 +149,25 @@ class TestBandStructure:
         assert table.mode == "singular"
         assert np.all(table.values >= 0)
 
+    def test_singular_mode_with_a_diagonal_block_takes_one_full_svdvals(self, monkeypatch):
+        # Variable coefficients and a V3 mass: neither per-mode nor off-diagonal.
+        grid, cs, rng = random_set(m=4, seed=13)
+        V = d.MatrixPotential.diagonal(grid, v3=0.4)
+        kgrid = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
+        svdvals = scipy.linalg.svdvals
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svdvals(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+        table = d.band_structure(cs, V, kgrid, mode="singular")
+        assert table.mode == "singular" and table.route == "dense LAPACK"
+        assert shapes == [(2 * grid.n_modes, 2 * grid.n_modes)] * len(kgrid)
+        for kp, vals in zip(kgrid, table.values):
+            ref = np.linalg.svd(d.assemble_dirac(cs, V, kp).matrix, compute_uv=False)[::-1]
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * ref[-1]
+
     @staticmethod
     def count_eigvalsh(monkeypatch):
         calls = []
@@ -366,6 +385,24 @@ class TestEquivalenceConstants:
         _, cs, _ = random_set(seed=6)
         c1, c2 = d.estimate_c1_c2(cs, (np.pi, 0.3), 2 * np.pi)
         assert 0 < c1 <= c2
+
+    def test_lanczos_failure_falls_back_to_svdvals(self, monkeypatch):
+        # Both extremes of each weighted d_pm come from svdvals when ARPACK fails.
+        grid, cs, _ = random_set(seed=14)
+        k, mu = (np.pi, 0.3), 2 * np.pi
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(1)
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        c1, c2 = d.estimate_c1_c2(cs, k, mu)
+        assert len(calls) == 4
+        weights = d.mode_weights(grid, k, mu)
+        ref = [scipy.linalg.svdvals(d.assemble_dpm(cs, k, mu, s).matrix / w[None, :])
+               for s, w in (("+", weights.g_plus), ("-", weights.g_minus))]
+        assert c1 == pytest.approx(min(r[-1] ** 2 for r in ref), rel=1e-12)
+        assert c2 == pytest.approx(max(r[0] ** 2 for r in ref), rel=1e-12)
 
     def test_singular_weight_error(self):
         _, cs = constant_set(2)
@@ -680,11 +717,18 @@ class TestRelativeBoundConstants:
         assert not d.analysis._cholesky_completes(b)
 
     def test_overflowing_potential_raises(self):
+        # Refused before any eigvalsh, so no overflow warning is raised
+        # (the suite turns RuntimeWarnings into errors).
         w = d.PeriodicScalarField.constant(d.FourierGrid(2, 12), 1e160)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(np.linalg.LinAlgError):
-                d.potential_profile(w)
+        with pytest.raises(d.InadmissibleParameterError, match=r"\|W\|\^2"):
+            d.potential_profile(w)
+        with pytest.raises(d.InadmissibleParameterError, match=r"C_W\^H C_W"):
+            d.analysis._relative_bound_constants(w, np.ones(1))
+
+    def test_overflowing_eps_raises(self):
+        w = d.PeriodicScalarField.constant(d.FourierGrid(2, 12), 1.0)
+        with pytest.raises(d.InadmissibleParameterError, match="eps = 1e"):
+            d.potential_profile(w, eps_grid=[1e-2, 1e160])
 
     def test_shipped_profile_solves_one_corner_per_eps(self, monkeypatch, tmp_path):
         # Three of the four corners are certified below the first one's top
@@ -1001,6 +1045,21 @@ class TestCoercivity:
                                   (np.pi, 0.0), trials=2,
                                   admissibility=[wrep] if 16 in wrep.m_plus else None)
         assert isinstance(rep.warnings, tuple)
+
+    def test_scaling_warnings(self):
+        grid = d.FourierGrid(4, 18)
+        cs = d.CoefficientSet.constant(grid)
+        zero = d.PeriodicScalarField.constant(grid, 0.0)
+        w = d.PeriodicScalarField.from_modes(grid, {(0, 1): 1.0})
+        wrep = d.wiener_average(w, zero, 64, 0.5)
+        assert wrep.m_plus == (1,)
+        args = (cs, zero, zero, zero)
+        rep = d.verify_coercivity(*args, np.pi, 4 * np.pi, (np.pi, 0.0), trials=2,
+                                  admissibility=[wrep])
+        assert rep.warnings == ("mu/pi = 1 lies in an estimated excluded set",)
+        rep = d.verify_coercivity(*args, 1.5 * np.pi, 4 * np.pi, (np.pi, 0.0), trials=2)
+        assert rep.warnings == ("mu/pi = 1.500000 is not an integer scaling",)
+        assert 0 < rep.c1 <= rep.c2
 
 
 class TestCrossTerm:

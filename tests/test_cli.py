@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +135,26 @@ class TestVerify:
         _, rows = read_csv(out / "verify.csv")
         passed = {row[0]: row[-1] for row in rows}
         assert passed["sweep_floor"] == "0" and set(passed.values()) <= {"0", "1"}
+
+    def test_equivalence_constants_estimated_once(self, tmp_path, monkeypatch):
+        # The two_sided row reads c1 and c2 from the coercivity report.  The
+        # name is patched in cli too, so a direct call from the CLI is counted.
+        calls = []
+        original = d.analysis.estimate_c1_c2
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(d.analysis, "estimate_c1_c2", counting)
+        monkeypatch.setattr(cli, "estimate_c1_c2", counting, raising=False)
+        out = tmp_path / "out"
+        assert run("verify", "--config", small_free_config(tmp_path), "--out", out,
+                   "--set", "verify.trials=5") == 0
+        assert len(calls) == 1
+        _, rows = read_csv(out / "verify.csv")
+        assert [row[0] for row in rows] == ["counting_bound", "weighted_norms", "two_sided",
+                                            "cross_term", "coercivity", "gauge_chain",
+                                            "sweep_floor"]
 
 
 def test_manifest_booleans_are_json_booleans(tmp_path, capsys):
@@ -285,6 +306,9 @@ EDGE_CONFIGS = [
     ("verify", "verify.mu=1e300"),
     ("bands", "workers=3"),
     ("bands", "workers=true"),
+    ("profile", "profile.eps_grid=[1e160]"),
+    ("bands", "bands.k_grid=[[1e308, 1e308]]"),
+    ("sweep", "sweep.k2_grid=[1e308]"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -365,9 +389,8 @@ def test_load_yaml_depth_limit():
     assert cli.load_yaml("extra: [" + ", ".join(["-1"] * 3000) + "]") == {"extra": [-1] * 3000}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_profile_potential_exits_4(tmp_path, capsys):
-    # |W|^2 overflows to inf, and eigvalsh of C_W^H C_W does not converge.
+    # |W|^2 overflows to inf: refused before any eigvalsh, without a warning.
     code = run("profile", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
                "--set", "grid.truncation_radius=2", "--set", "grid.sample_resolution=12",
                "--set", "profile.w={constant: 1e160}")
@@ -402,14 +425,27 @@ def test_edge_config_exits_cleanly_on_constant_fibers(tmp_path, capsys, sub, ass
 
 @pytest.mark.parametrize("assignment", ["potential.V1={constant: 1e308}",
                                         "sweep.k_prime=[1e308, 0]"])
-def test_arpack_failure_exits_cleanly(tmp_path, capsys, assignment):
-    # ARPACK rejects the overflowing operator ("starting vector is zero"); the
+def test_arpack_failure_exits_cleanly(tmp_path, capsys, monkeypatch, assignment):
+    # ARPACK rejects the overflowing potential ("starting vector is zero"); the
     # sweep falls back to svdvals like on non-convergence instead of crashing.
+    # A real part of k at 1e308 is refused when the fiber is assembled (exit 4),
+    # before ARPACK runs.
+    fallbacks = []
+    svdvals = scipy.linalg.svdvals
+
+    def counting(a, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return svdvals(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
     code = run("sweep", "--config", VARIABLE_CONFIG, "--out", tmp_path / "o",
                "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
                "--set", assignment)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+    if assignment.startswith("potential"):
+        assert fallbacks
+    else:
+        assert code == 4 and not fallbacks
 
 
 @pytest.mark.parametrize("component", ["V0", "V1"])
