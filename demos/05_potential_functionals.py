@@ -27,10 +27,10 @@ w = d.random_trig_field(grid, rng, 2, 0.8, zero_mean=False)
 prof = d.potential_profile(w)
 print("potential profile tables:")
 print("  b:        " + "  ".join(f"{b:7.3f}" for b in prof.b_grid[:6]))
-print("  ||W_b||:  " + "  ".join(f"{v:7.4f}" for v in prof.wb_norms[:6]))
-print("  htilde:   " + "  ".join(f"{v:7.4f}" for v in prof.htilde_values[:6]))
+print("  ||W_b||:  " + "  ".join(f"{v:7.4f}" for v in prof.wb_norm(prof.b_grid[:6])))
+print("  htilde:   " + "  ".join(f"{v:7.4f}" for v in prof.htilde_of(prof.b_grid[:6])))
 print("  N:        " + "  ".join(f"{n:7d}" for n in prof.count_grid[:6]))
-print("  f_W(N):   " + "  ".join(f"{v:7.4f}" for v in prof.f_values[:6]))
+print("  f_W(N):   " + "  ".join(f"{v:7.4f}" for v in prof.f_of(prof.count_grid[:6])))
 print(f"  C_1(W) = {prof.c1_w:.4f}  ->  c7 = 1 + C_1/pi = {prof.c7:.4f}")
 
 mu, a, k = 8 * np.pi, 4 * np.pi, (np.pi, 0.0)
@@ -51,7 +51,7 @@ print(f"  rotated diagonal: sup |V0~| ~ {np.max(np.abs(sp.vtilde0.samples())):.4
       f"sup |V3~| ~ {np.max(np.abs(sp.vtilde3.samples())):.4f}")
 
 # Cross-term bound and coercivity margins with the rotated diagonal.
-weights = d.mode_weights(grid, k, mu)
+weights = d.ModeWeights(grid, k, mu)
 ct = d.cross_term_check(w, weights, 2.5 * np.pi, 4 * np.pi, n_trials=50, seed=1)
 print(f"\ncross-term bound: max ratio {ct.max_ratio:.4f} (tail norm {ct.tail_norm:.4f})")
 

@@ -37,7 +37,6 @@ from .fourier import (
     field_to_records,
     index_set_T,
     load_field,
-    mode_weights,
     project,
     sample_to_fourier,
     weighted_norm,

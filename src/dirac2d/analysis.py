@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -308,7 +307,7 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, f
 
     holds for every retained phi (these are the tight empirical constants).
     """
-    weights = ModeWeights(coeffs.grid, (float(k[0]), float(k[1])), float(mu))
+    weights = ModeWeights(coeffs.grid, k, mu)
     c1, c2 = np.inf, 0.0
     for s in ("+", "-"):
         w = weights.g_plus if s == "+" else weights.g_minus
@@ -400,13 +399,17 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     # A Gram matrix has |ctc_ij| <= sqrt(ctc_ii ctc_jj): its diagonal decides.
     if not np.isfinite(ctc.diagonal()).all():
         raise InadmissibleParameterError("C_W^H C_W of the potential W is not finite")
-    if np.max(np.abs(ctc)) == 0.0:
+    ctc_max = np.max(np.abs(ctc))
+    if ctc_max == 0.0:
         return np.zeros(eps_grid.size)
     d2_list = [(k1 + TWO_PI * grid.n1) ** 2 + (k2 + TWO_PI * grid.n2) ** 2
                for k1, k2 in DEFAULTS["quasimomentum_corners"]]
     n = ctc.shape[0]
     diag = np.diag_indices(n)
-    ctc_norm = np.linalg.norm(ctc)
+    with np.errstate(over="ignore"):
+        ctc_norm = np.linalg.norm(ctc)
+    if not math.isfinite(ctc_norm):  # the squares overflow (max |W| above about 1e77)
+        ctc_norm = ctc_max * np.linalg.norm(ctc / ctc_max)
     d2_norm = max(np.linalg.norm(d2) for d2 in d2_list)
     eps_top = float(np.max(np.abs(eps_grid)))
     if not math.isfinite(eps_top * eps_top * float(d2_norm)):
@@ -432,11 +435,11 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Tables of ||W_b||, f_W, C_eps, h_W, and htilde_W for one potential.
+    """||W_b||, f_W, C_eps, h_W and htilde_W for one potential, with their grids.
 
-    Each table is its method on its grid (``wb_norms = wb_norm(b_grid)``,
-    ``f_values = f_of(count_grid)``, ...); the methods take a number or an
-    array and read the sorted sample magnitudes and their suffix sums.
+    C_eps is tabulated on ``eps_grid``; the other functionals are methods that
+    take a number or an array (such as ``b_grid``) and read the sorted sample
+    magnitudes and their suffix sums.
     """
 
     w: PeriodicScalarField
@@ -489,22 +492,6 @@ class PotentialProfile:
         inner = np.where(live, coef * a * wb + self.c_eps / a, 0.0)
         return np.min(self.eps_grid + inner, axis=-1)
 
-    @cached_property
-    def wb_norms(self) -> np.ndarray:
-        return self.wb_norm(self.b_grid)
-
-    @cached_property
-    def f_values(self) -> np.ndarray:
-        return self.f_of(self.count_grid)
-
-    @cached_property
-    def h_values(self) -> np.ndarray:
-        return self.h_of(self.t_grid)
-
-    @cached_property
-    def htilde_values(self) -> np.ndarray:
-        return self.htilde_of(self.b_grid)
-
 
 def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
                       count_grid=None, t_grid=None) -> PotentialProfile:
@@ -546,7 +533,7 @@ def select_threshold_b(profile: PotentialProfile, c1: float) -> float | None:
 
     The denominator is ``DEFAULTS["threshold_margin_denominator"]``.
     """
-    ok = profile.htilde_values**2 <= c1 / DEFAULTS["threshold_margin_denominator"]
+    ok = profile.htilde_of(profile.b_grid)**2 <= c1 / DEFAULTS["threshold_margin_denominator"]
     if not np.any(ok):
         return None
     return float(profile.b_grid[int(np.argmax(ok))])
@@ -688,14 +675,17 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
     goes straight to :func:`power_moments`, so no array of the grid's size is
     held.  The points of a strip that do not fill a whole block are carried
     into the next strip, so the grid is cut into ceil(S1 S2 / 2048) blocks as
-    if it came in one piece.  For a non-real W or Psi the minus moments are
-    summed in the same walk.
+    if it came in one piece.  For a non-real W the minus moments are summed in
+    the same walk, as the moments of conj(z), which is 1/z only for a real
+    Psi: a non-real Psi is refused.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not psi.is_real():
+        raise InadmissibleParameterError("Psi must be real: the minus moments use conj(z) = 1/z")
     (s1, s2), req = quadrature_resolution(psi, n_max, resolution)
 
-    real = w.is_real() and psi.is_real()
+    real = w.is_real()
     plus, minus = _moment_sums(n_max), None if real else _moment_sums(n_max)
 
     def add(wb, zb):
@@ -810,7 +800,7 @@ def verify_coercivity(coeffs: CoefficientSet, vtilde0: PeriodicScalarField,
                        for w in (vtilde0 + vtilde3, vtilde0 - vtilde3)) / np.pi
     c8 = c1**2 / (6.0 * (c1 + 4.0 * c7**2))
 
-    weights = ModeWeights(grid, (float(k[0]), float(k[1])), float(mu))
+    weights = ModeWeights(grid, k, mu)
     t_plus = index_set_T(weights, a, "+")
     t_minus = index_set_T(weights, a, "-")
     op = coercivity_operator(coeffs, vtilde0, vtilde3, psi, mu, k)
@@ -982,8 +972,8 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
     grid = coeffs.grid
     products = [
         convolve(coeffs.g, coeffs.g) + convolve(coeffs.f, coeffs.f),
-        convolve(coeffs.c_plus(), coeffs.h),
-        convolve(coeffs.c_minus(), coeffs.h),
+        convolve(coeffs.c_plus, coeffs.h),
+        convolve(coeffs.c_minus, coeffs.h),
         convolve(coeffs.h, coeffs.h),
     ]
     # Worst suffix tail over the four products, as a step function of the gap:
@@ -996,8 +986,7 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
         sq = np.abs(p.coeffs[order]) ** 2
         suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
         # tail strictly beyond radius sorted_radii[i]
-        beyond = np.array([suffix[np.searchsorted(sorted_radii, r, side="right")]
-                           for r in sorted_radii])
+        beyond = suffix[np.searchsorted(sorted_radii, sorted_radii, side="right")]
         tails = np.maximum(tails, np.sqrt(beyond))
 
     def smallest_gap(threshold: float) -> float | None:

@@ -534,30 +534,30 @@ def run_wiener(ctx: RunContext) -> int:
 
 
 def run_profile(ctx: RunContext) -> int:
-    profile = potential_profile(ctx.field("profile.w"), eps_grid=ctx["profile.eps_grid"],
-                                b_grid=ctx["profile.b_grid"],
-                                count_grid=ctx["profile.count_grid"],
-                                t_grid=ctx["profile.t_grid"])
+    prof = potential_profile(ctx.field("profile.w"), eps_grid=ctx["profile.eps_grid"],
+                             b_grid=ctx["profile.b_grid"], count_grid=ctx["profile.count_grid"],
+                             t_grid=ctx["profile.t_grid"])
 
     outs = []
-    for fname, header, rows in (
-        ("profile_wb.csv", ["b", "wb_norm"], zip(profile.b_grid, profile.wb_norms)),
-        ("profile_f.csv", ["count", "f_value"], zip(profile.count_grid, profile.f_values)),
-        ("profile_ceps.csv", ["eps", "c_eps"], zip(profile.eps_grid, profile.c_eps)),
-        ("profile_h.csv", ["t", "h_value"], zip(profile.t_grid, profile.h_values)),
-        ("profile_htilde.csv", ["b", "htilde_value"], zip(profile.b_grid, profile.htilde_values)),
+    for fname, header, points, values in (
+        ("profile_wb.csv", ["b", "wb_norm"], prof.b_grid, prof.wb_norm(prof.b_grid)),
+        ("profile_f.csv", ["count", "f_value"], prof.count_grid, prof.f_of(prof.count_grid)),
+        ("profile_ceps.csv", ["eps", "c_eps"], prof.eps_grid, prof.c_eps),
+        ("profile_h.csv", ["t", "h_value"], prof.t_grid, prof.h_of(prof.t_grid)),
+        ("profile_htilde.csv", ["b", "htilde_value"], prof.b_grid, prof.htilde_of(prof.b_grid)),
     ):
         path = ctx.out_dir / fname
-        write_csv(path, header, rows)
+        write_csv(path, header, zip(points, values))
         outs.append(path)
-    ctx.finish(outs, {"c1_w": profile.c1_w, "c7": profile.c7}, [
-        f"C_1(W) = {profile.c1_w!r}; c7 = {profile.c7!r}",
+    ctx.finish(outs, {"c1_w": prof.c1_w, "c7": prof.c7}, [
+        f"C_1(W) = {prof.c1_w!r}; c7 = {prof.c7!r}",
         "outputs: " + " ".join(p.name for p in outs),
     ])
     return 0
 
 
-def _verify_checks(ctx: RunContext) -> list[dict]:
+def _verify_checks(ctx: RunContext) -> tuple[list[dict], tuple]:
+    """The checks of ``verify`` and the warnings of its coercivity check."""
     grid, coeffs, potential = ctx.grid, ctx.coefficients, ctx.potential
     trials, mu, a, k2 = (ctx[f"verify.{name}"] for name in ("trials", "mu", "a", "k2"))
     k = (float(np.pi), k2)
@@ -569,7 +569,7 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
     violations = 0
     for k2v in k2_values:
         for muv in mu_values:
-            weights = ModeWeights(grid, (float(np.pi), float(k2v)), float(muv))
+            weights = ModeWeights(grid, (np.pi, k2v), muv)
             for av in a_values:
                 for sign in ("+", "-"):
                     if not counting_bound_holds(index_set_T(weights, float(av), sign)):
@@ -623,17 +623,18 @@ def _verify_checks(ctx: RunContext) -> list[dict]:
     checks.append({"suite": "sweep_floor",
                    "name": "sigma_min above the certificate floor on k1 = pi",
                    "value": flags, "bound": 0, "passed": flags == 0})
-    return checks
+    return checks, rep.warnings
 
 
 def run_verify(ctx: RunContext) -> int:
-    checks = _verify_checks(ctx)
+    checks, warnings = _verify_checks(ctx)
     out = ctx.out_dir / "verify.csv"
     write_csv(out, ["suite", "name", "value", "bound", "passed"],
               [[c["suite"], c["name"], json.dumps(c["value"], default=_json_default),
                 json.dumps(c["bound"], default=_json_default), int(c["passed"])] for c in checks])
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['suite']}: {c['name']}"
              for c in checks]
+    lines += [f"warning: {w}" for w in warnings]
     all_ok = all(c["passed"] for c in checks)
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
     ctx.finish([out], {c["suite"]: bool(c["passed"]) for c in checks}, lines)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse
 
 from .defaults import DEFAULTS, SCHEMA_VERSIONS, TOLERANCES
-from .errors import GammaValidationError, GridMismatchError
+from .errors import GammaValidationError, GridMismatchError, InadmissibleParameterError
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,12 +163,6 @@ class PeriodicScalarField:
         """The largest |N|_inf of a nonzero coefficient (0 for a constant field)."""
         support = self.grid.mode_numbers[self.coeffs != 0]
         return int(np.max(np.abs(support), initial=0))
-
-    @property
-    def band_limited(self) -> bool:
-        """True when 2b < M for band radius b: a convolution row then holds
-        (2b+1)^2 <= n_modes / 4 nonzeros, and sparse routes pay off."""
-        return 2 * self.band_radius < self.grid.truncation_radius
 
     @cached_property
     def convolution(self) -> scipy.sparse.csr_matrix:
@@ -335,6 +329,14 @@ def project(phi: np.ndarray, mode_set) -> np.ndarray:
 # Mode weights and index sets
 # ---------------------------------------------------------------------------
 
+def require_separable(k, mu: float) -> None:
+    """Refuse |k| or |mu| of 2^53 or more, where k + 2 pi N no longer separates modes."""
+    if not max(abs(k[0]), abs(k[1]), abs(mu)) < 2.0**53:
+        raise InadmissibleParameterError(
+            f"k = {tuple(k)}, mu = {mu}: |k| and |mu| must stay below 2^53, "
+            "where k + 2 pi N no longer separates modes")
+
+
 @dataclass(frozen=True)
 class ModeWeights:
     """Per-mode distances Gpm_N(k; mu) and their minimum over the grid window."""
@@ -347,35 +349,27 @@ class ModeWeights:
     g_min: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k1, k2 = float(self.k[0]), float(self.k[1])
-        if not max(abs(k1), abs(k2), abs(self.mu)) < 2.0**53:
-            raise ValueError(f"mode weights at k = {(k1, k2)}, mu = {self.mu}: |k| and |mu| "
-                             "must stay below 2^53, where k + 2 pi N no longer separates modes")
+        k1, k2, mu = float(self.k[0]), float(self.k[1]), float(self.mu)
+        require_separable((k1, k2), mu)
         object.__setattr__(self, "k", (k1, k2))
+        object.__setattr__(self, "mu", mu)
         u = k1 + TWO_PI * self.grid.n1
-        vp = k2 + TWO_PI * self.grid.n2 + self.mu
-        vm = k2 + TWO_PI * self.grid.n2 - self.mu
+        vp = k2 + TWO_PI * self.grid.n2 + mu
+        vm = k2 + TWO_PI * self.grid.n2 - mu
         gp = np.hypot(u, vp)
         gm = np.hypot(u, vm)
         for name, arr in (("g_plus", gp), ("g_minus", gm), ("g_min", np.minimum(gp, gm))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def weight_array(self, variant: str) -> np.ndarray:
-        try:
-            return {"star": self.g_min, "star_plus": self.g_plus, "star_minus": self.g_minus}[variant]
-        except KeyError:
-            raise ValueError(f"unknown weight variant {variant!r}") from None
-
-
-def mode_weights(grid: FourierGrid, k, mu: float) -> ModeWeights:
-    return ModeWeights(grid, (float(k[0]), float(k[1])), float(mu))
-
 
 def weighted_norm(phi: np.ndarray, weights: ModeWeights, variant: str = "star") -> float:
     """Weighted l^2 norm (sum_N Gpm_N^2 |phi_N|^2)^{1/2} over retained modes."""
     phi = np.asarray(phi)
-    w = weights.weight_array(variant)
+    w = {"star": weights.g_min, "star_plus": weights.g_plus,
+         "star_minus": weights.g_minus}.get(variant)
+    if w is None:
+        raise ValueError(f"unknown weight variant {variant!r}")
     if phi.shape != w.shape:
         raise GridMismatchError(f"vector shape {phi.shape} does not match weights {w.shape}")
     return float(np.linalg.norm(w * phi))
@@ -397,10 +391,6 @@ class IndexSet:
     mask: np.ndarray
     analytic_count: int
     window_overflow: bool
-
-    @property
-    def count(self) -> int:
-        return self.analytic_count
 
     @property
     def in_window_count(self) -> int:
@@ -529,21 +519,15 @@ class CoefficientSet:
         out.sort(key=lambda v: -v["excess"])
         return out
 
-    def c_plus(self) -> PeriodicScalarField:
-        """The field G + iF, the same object on every call (so its
-        convolution matrix is built once)."""
-        return self._c_plus
-
-    def c_minus(self) -> PeriodicScalarField:
-        """The field G - iF, the same object on every call."""
-        return self._c_minus
-
     @cached_property
-    def _c_plus(self) -> PeriodicScalarField:
+    def c_plus(self) -> PeriodicScalarField:
+        """The field G + iF, the same object on every access (so its
+        convolution matrix is built once)."""
         return PeriodicScalarField(self.grid, self.g.coeffs + 1j * self.f.coeffs)
 
     @cached_property
-    def _c_minus(self) -> PeriodicScalarField:
+    def c_minus(self) -> PeriodicScalarField:
+        """The field G - iF, the same object on every access."""
         return PeriodicScalarField(self.grid, self.g.coeffs - 1j * self.f.coeffs)
 
 

@@ -76,11 +76,9 @@ class CokernelPair:
 
 
 def _phase_fix(chi: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude coefficient real positive (deterministic)."""
-    idx = int(np.argmax(np.abs(chi)))
-    pivot = chi[idx]
-    if abs(pivot) == 0.0:
-        return chi
+    """Make the largest-magnitude coefficient of the unit vector ``chi`` real
+    positive (deterministic); that entry is never 0."""
+    pivot = chi[np.argmax(np.abs(chi))]
     return chi * (np.conj(pivot) / abs(pivot))
 
 
@@ -132,7 +130,7 @@ def _cokernel_pair(coeffs: CoefficientSet, fac: _DPlusLU) -> CokernelPair:
     chi_plus = fac.chi
     chi_minus = np.conj(chi_plus[::-1])
 
-    cp, cm, h = coeffs.c_plus().coeffs, coeffs.c_minus().coeffs, coeffs.h.coeffs
+    cp, cm, h = coeffs.c_plus.coeffs, coeffs.c_minus.coeffs, coeffs.h.coeffs
     pair = CokernelPair(
         grid=coeffs.grid,
         chi_plus=chi_plus,
@@ -213,8 +211,8 @@ def solve_gauge(coeffs: CoefficientSet, c1: PeriodicScalarField,
     )
 
     # C'_pm = C_pm - (G +- iF)(k_1 + i kappa_1) -+ iH(k_2 + i kappa_2)
-    rhs_p = c_p.coeffs - w1 * coeffs.c_plus().coeffs - 1j * w2 * coeffs.h.coeffs
-    rhs_m = c_m.coeffs - w1 * coeffs.c_minus().coeffs + 1j * w2 * coeffs.h.coeffs
+    rhs_p = c_p.coeffs - w1 * coeffs.c_plus.coeffs - 1j * w2 * coeffs.h.coeffs
+    rhs_m = c_m.coeffs - w1 * coeffs.c_minus.coeffs + 1j * w2 * coeffs.h.coeffs
 
     # Zero-mean solves through A'^{-1}, both right-hand sides at once; Phi_- = R conj(x).
     cond = float(fac.sigma_max / fac.sigma_second) if fac.sigma_second > 0 else np.inf

@@ -67,6 +67,7 @@ from .fourier import (
     FourierGrid,
     PeriodicScalarField,
     TWO_PI,
+    require_separable,
     sample_to_fourier,
 )
 
@@ -89,10 +90,6 @@ class ComplexQuasimomentum:
     @property
     def z2(self) -> complex:
         return self.k[1] + 1j * self.kappa[1]
-
-    @classmethod
-    def real(cls, k) -> "ComplexQuasimomentum":
-        return cls((float(k[0]), float(k[1])))
 
 
 @dataclass(frozen=True)
@@ -167,8 +164,10 @@ def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
 
 
 def _band_limited(factor) -> bool:
-    """True when every field of the factor is band-limited (the sparse route)."""
-    return all(field.band_limited for _, _, field, _ in factor)
+    """True when every field of the factor is band-limited: band radius b with
+    2b < M, so a convolution row holds (2b+1)^2 <= n_modes / 4 nonzeros and
+    sparse routes pay off."""
+    return all(2 * field.band_radius < field.grid.truncation_radius for _, _, field, _ in factor)
 
 
 def _factor_csr(factor, n: int, nc: int) -> scipy.sparse.csr_matrix:
@@ -435,15 +434,12 @@ def _dpm_terms(coeffs: CoefficientSet, z, mu: float, sign: str, i: int, j: int) 
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     grid = coeffs.grid
     if not isinstance(z, ComplexQuasimomentum):
-        z = ComplexQuasimomentum.real(z)
-    if not max(abs(z.k[0]), abs(z.k[1]), abs(mu)) < 2.0**53:
-        raise InadmissibleParameterError(
-            f"fiber at Re z = {z.k}, mu = {mu}: |Re z| and |mu| must stay below 2^53, "
-            "where k + 2 pi N no longer separates modes")
+        z = ComplexQuasimomentum(z)
+    require_separable(z.k, mu)
     s = 1.0 if sign == "+" else -1.0
     d1 = z.z1 + TWO_PI * grid.n1
     d2 = z.z2 + TWO_PI * grid.n2
-    first = coeffs.c_plus() if sign == "+" else coeffs.c_minus()
+    first = coeffs.c_plus if sign == "+" else coeffs.c_minus
     return [(i, j, first, d1), (i, j, coeffs.h, 1j * (mu + s * d2))]
 
 

@@ -170,7 +170,7 @@ def test_c07_counting_bound():
     violations = 0
     for k2 in (0.0, 0.3, np.pi):
         for mu in (0.0, 4 * np.pi, 12 * np.pi):
-            weights = d.mode_weights(grid, (np.pi, k2), mu)
+            weights = d.ModeWeights(grid, (np.pi, k2), mu)
             for a in (2 * np.pi, 4 * np.pi, 8 * np.pi):
                 for sign in ("+", "-"):
                     ts = d.index_set_T(weights, a, sign)
@@ -184,7 +184,7 @@ def test_c08_cross_term_bound():
     grid = grid_for(12)
     rng = np.random.default_rng(6000)
     w = d.random_trig_field(grid, rng, 3, 1.0, zero_mean=False)
-    weights = d.mode_weights(grid, (np.pi, 0.0), 16 * np.pi)
+    weights = d.ModeWeights(grid, (np.pi, 0.0), 16 * np.pi)
     rep = d.cross_term_check(w, weights, 2.5 * np.pi, 4.5 * np.pi,
                              n_trials=100, seed=6001)
     report("C8 cross-term bound (Lemma 4.5)", rep.max_ratio <= 1.0,

@@ -398,7 +398,7 @@ class TestEquivalenceConstants:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         c1, c2 = d.estimate_c1_c2(cs, k, mu)
         assert len(calls) == 4
-        weights = d.mode_weights(grid, k, mu)
+        weights = d.ModeWeights(grid, k, mu)
         ref = [scipy.linalg.svdvals(d.assemble_dpm(cs, k, mu, s).matrix / w[None, :])
                for s, w in (("+", weights.g_plus), ("-", weights.g_minus))]
         assert c1 == pytest.approx(min(r[-1] ** 2 for r in ref), rel=1e-12)
@@ -418,7 +418,7 @@ class TestEquivalenceConstants:
         calls = count_splu(monkeypatch)
         for k, mu in (((np.pi, 0.3), 2 * np.pi), ((0.9, 0.4), 0.0), ((np.pi, 0.0), 16 * np.pi)):
             c1, c2 = d.estimate_c1_c2(cs, k, mu)
-            weights = d.mode_weights(grid, k, mu)
+            weights = d.ModeWeights(grid, k, mu)
             ref = [scipy.linalg.svdvals(d.assemble_dpm(cs, k, mu, s).matrix / w[None, :])
                    for s, w in (("+", weights.g_plus), ("-", weights.g_minus))]
             assert c1 == pytest.approx(min(r[-1] ** 2 for r in ref), rel=1e-10)
@@ -476,7 +476,7 @@ class TestSparseRoute:
         cs = d.CoefficientSet(g=g, h=d.PeriodicScalarField.constant(grid, 1.0),
                               f=d.PeriodicScalarField.constant(grid, 0.0),
                               p=2.0, q=0.5, f_bound=1.0)
-        assert g.band_radius == 6 and not g.band_limited
+        assert g.band_radius == 6 and not d.operators._band_limited([(0, 0, g, None)])
 
         def no_splu(*args, **kwargs):
             raise AssertionError("a full-support fiber reached splu")
@@ -568,12 +568,12 @@ class TestPotentialProfile:
         prof = d.potential_profile(w, b_grid=[0.0, 0.4, 0.8, 1.0],
                                    count_grid=[1, 4, 16], t_grid=[2 * np.pi, 8 * np.pi])
         # ||W_b|| = c for b < c and 0 at or above it (strict threshold).
-        assert np.allclose(prof.wb_norms, [c, c, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(prof.wb_norm(prof.b_grid), [c, c, 0.0, 0.0], atol=1e-12)
         # f_W(N) = c for N >= 1.
-        assert np.allclose(prof.f_values, c, atol=1e-12)
+        assert np.allclose(prof.f_of(prof.count_grid), c, atol=1e-12)
         # C_eps = c for every eps, so h_W(t) = c/t up to the smallest grid eps.
         assert np.allclose(prof.c_eps, c, atol=1e-9)
-        for t, h in zip(prof.t_grid, prof.h_values):
+        for t, h in zip(prof.t_grid, prof.h_of(prof.t_grid)):
             assert h == pytest.approx(c / t, abs=2e-8)
 
     def test_zero_potential(self):
@@ -581,8 +581,8 @@ class TestPotentialProfile:
         w = d.PeriodicScalarField.constant(grid, 0.0)
         prof = d.potential_profile(w, b_grid=[0.0, 1.0], count_grid=[1, 4],
                                    t_grid=[2 * np.pi])
-        assert np.allclose(prof.wb_norms, 0.0)
-        assert np.allclose(prof.f_values, 0.0, atol=1e-12)
+        assert np.allclose(prof.wb_norm(prof.b_grid), 0.0)
+        assert np.allclose(prof.f_of(prof.count_grid), 0.0, atol=1e-12)
         assert np.allclose(prof.c_eps, 0.0, atol=1e-12)
 
     def test_monotonicity_tables(self):
@@ -590,13 +590,13 @@ class TestPotentialProfile:
         rng = np.random.default_rng(7)
         w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False)
         prof = d.potential_profile(w)
-        assert np.all(np.diff(prof.wb_norms) <= 1e-12)
-        assert np.all(np.diff(prof.f_values) >= -1e-12)
-        assert np.all(np.diff(prof.h_values) <= 1e-12)
-        assert np.all(np.diff(prof.htilde_values) <= 1e-12)
+        assert np.all(np.diff(prof.wb_norm(prof.b_grid)) <= 1e-12)
+        assert np.all(np.diff(prof.f_of(prof.count_grid)) >= -1e-12)
+        assert np.all(np.diff(prof.h_of(prof.t_grid)) <= 1e-12)
+        assert np.all(np.diff(prof.htilde_of(prof.b_grid)) <= 1e-12)
         assert np.all(np.diff(prof.c_eps) <= 1e-12)
         # f_W(N)/sqrt(N) is nonincreasing over the whole count grid.
-        ratio = prof.f_values / np.sqrt(prof.count_grid)
+        ratio = prof.f_of(prof.count_grid) / np.sqrt(prof.count_grid)
         assert np.all(np.diff(ratio) <= 1e-12)
 
     def test_tables_are_the_methods_on_their_grids(self):
@@ -604,14 +604,12 @@ class TestPotentialProfile:
         rng = np.random.default_rng(7)
         w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False)
         prof = d.potential_profile(w, b_grid=[0.0, 0.3, 0.9, 5.0])
-        for table, method, points in ((prof.wb_norms, prof.wb_norm, prof.b_grid),
-                                      (prof.f_values, prof.f_of, prof.count_grid),
-                                      (prof.h_values, prof.h_of, prof.t_grid),
-                                      (prof.htilde_values, prof.htilde_of, prof.b_grid)):
-            assert np.array_equal(table, [method(x) for x in points])
+        for method, points in ((prof.wb_norm, prof.b_grid), (prof.f_of, prof.count_grid),
+                               (prof.h_of, prof.t_grid), (prof.htilde_of, prof.b_grid)):
+            assert np.array_equal(method(points), [method(x) for x in points])
         # ||W_b|| = 0 above the largest sample: htilde falls back to the smallest eps.
-        assert prof.wb_norms[-1] == 0.0
-        assert prof.htilde_values[-1] == prof.eps_grid.min()
+        assert prof.wb_norm(prof.b_grid[-1]) == 0.0
+        assert prof.htilde_of(prof.b_grid[-1]) == prof.eps_grid.min()
 
     def test_empty_grid_rejected(self):
         grid = d.FourierGrid(3, 16)
@@ -761,7 +759,7 @@ def multiplier_setup():
         "w": w,
         "prof": d.potential_profile(w),
         "mu": 8 * np.pi,
-        "weights": d.mode_weights(grid, (np.pi, 0.0), 8 * np.pi),
+        "weights": d.ModeWeights(grid, (np.pi, 0.0), 8 * np.pi),
         "mult": d.multiplication_operator(w),
         "rng": rng,
     }
@@ -944,6 +942,33 @@ class TestWiener:
         averages = np.cumsum(np.abs(i_plus) ** 2) / np.arange(1, 65)
         assert np.max(np.abs(rep.averages - averages)) <= tol
 
+    def test_matches_direct_quadrature(self):
+        # An oracle independent of the power-moment kernel: the quadrature
+        # mean(W exp(+-2 pi i nu (Psi - x2))) formed directly, on the same grid.
+        grid, inst, rng = random_set(m=4, seed=24)
+        psi = d.solve_canonical_gauge(inst).psi
+        w = d.random_trig_field(grid, rng, 2, 1.0, zero_mean=False, real=False)
+        rep = d.wiener_average(w, psi, 8, 0.1)
+        s2 = rep.resolution[1]
+        ws = w.samples(rep.resolution)
+        phase = 2j * np.pi * (psi.samples(rep.resolution).real - np.arange(s2)[None, :] / s2)
+        nu = np.arange(1, 9)
+        i_plus = np.array([np.mean(ws * np.exp(n * phase)) for n in nu])
+        i_minus = np.array([np.mean(ws * np.exp(-n * phase)) for n in nu])
+        assert np.max(np.abs(i_minus)) > 0.01 and not np.allclose(np.abs(i_plus), np.abs(i_minus))
+        tol = 1e-13 * np.max(np.abs(ws))
+        assert np.max(np.abs(rep.abs_i_plus - np.abs(i_plus))) <= tol
+        assert np.max(np.abs(rep.abs_i_minus - np.abs(i_minus))) <= tol
+
+    def test_non_real_psi_is_refused(self):
+        # The minus moments are those of conj(z), which is 1/z only for a real Psi.
+        grid = d.FourierGrid(3, 16)
+        w = d.PeriodicScalarField.constant(grid, 1.0)
+        psi = d.PeriodicScalarField.from_modes(grid, {(0, 1): 0.05j})
+        assert not psi.is_real()
+        with pytest.raises(d.InadmissibleParameterError, match="Psi must be real"):
+            d.wiener_average(w, psi, 8, 0.1)
+
     def test_wiener_peak_memory(self):
         # W and Psi are sampled in strips; the whole-grid formula holds two
         # complex arrays of the grid.
@@ -977,7 +1002,7 @@ class TestCoercivity:
         cs = d.CoefficientSet.constant(grid)
         zero = d.PeriodicScalarField.constant(grid, 0.0)
         mu, a, k = 16 * np.pi, 4 * np.pi, (np.pi, 0.0)
-        weights = d.mode_weights(grid, k, mu)
+        weights = d.ModeWeights(grid, k, mu)
         ts = d.index_set_T(weights, a, "+")
         idx = int(np.nonzero(ts.mask)[0][0])
         phi = np.zeros(2 * grid.n_modes, dtype=complex)
@@ -1067,7 +1092,7 @@ class TestCrossTerm:
         grid = d.FourierGrid(9, 38)
         rng = np.random.default_rng(13)
         w = d.random_trig_field(grid, rng, 3, 1.0, zero_mean=False)
-        weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
+        weights = d.ModeWeights(grid, (np.pi, 0.0), 12 * np.pi)
         rep = d.cross_term_check(w, weights, 2.2 * np.pi, 4.4 * np.pi, n_trials=50, seed=1)
         assert rep.max_ratio <= 1.0
 
@@ -1075,7 +1100,7 @@ class TestCrossTerm:
         grid = d.FourierGrid(9, 38)
         rng = np.random.default_rng(14)
         w = d.random_trig_field(grid, rng, 1, 1.0)
-        weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
+        weights = d.ModeWeights(grid, (np.pi, 0.0), 12 * np.pi)
         rep = d.cross_term_check(w, weights, 2.2 * np.pi, 2.2 * np.pi + 3.1 * np.pi,
                                  n_trials=10, seed=2)
         assert rep.bound_constant == 0.0
@@ -1085,14 +1110,14 @@ class TestCrossTerm:
     def test_zero_potential(self):
         grid = d.FourierGrid(9, 38)
         w = d.PeriodicScalarField.constant(grid, 0.0)
-        weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
+        weights = d.ModeWeights(grid, (np.pi, 0.0), 12 * np.pi)
         rep = d.cross_term_check(w, weights, 2.2 * np.pi, 4.4 * np.pi, n_trials=5, seed=3)
         assert rep.max_ratio == 0.0
 
     def test_radius_preconditions(self):
         grid = d.FourierGrid(9, 38)
         w = d.PeriodicScalarField.constant(grid, 1.0)
-        weights = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
+        weights = d.ModeWeights(grid, (np.pi, 0.0), 12 * np.pi)
         with pytest.raises(d.InadmissibleParameterError):
             d.cross_term_check(w, weights, np.pi, 4 * np.pi)
         with pytest.raises(d.InadmissibleParameterError):

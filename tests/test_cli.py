@@ -309,6 +309,7 @@ EDGE_CONFIGS = [
     ("profile", "profile.eps_grid=[1e160]"),
     ("bands", "bands.k_grid=[[1e308, 1e308]]"),
     ("sweep", "sweep.k2_grid=[1e308]"),
+    ("wiener", "wiener.psi={modes: [[0, 1, 0.0, 0.05]]}"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -397,6 +398,33 @@ def test_overflowing_profile_potential_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4 and err.startswith("inadmissible parameters:")
     assert "Traceback" not in err
+
+
+def test_huge_profile_potential_runs_without_overflow(tmp_path, capsys):
+    # max |W| = 1e100: C_W^H C_W is finite, but the squares in its Frobenius
+    # norm are not, so the norm is taken after scaling (the suite turns
+    # numpy's overflow warning into an error).
+    out = tmp_path / "o"
+    code = run("profile", "--config", VARIABLE_CONFIG, "--out", out,
+               "--set", "grid.truncation_radius=2", "--set", "grid.sample_resolution=12",
+               "--set", "profile.w={constant: 1e100}")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["results"]["profile"]["c1_w"] == 1e100
+
+
+def test_verify_prints_coercivity_warnings(tmp_path, capsys):
+    # mu/pi = 15.9...: the coercivity check's warning reaches stdout and
+    # summary.txt, just before the overall line.
+    out = tmp_path / "o"
+    code = run("verify", "--config", VARIABLE_CONFIG, "--out", out,
+               "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+               "--set", "verify.mu=50.0")
+    assert code in (0, 3)
+    warning = "warning: mu/pi = 15.915494 is not an integer scaling"
+    for lines in (capsys.readouterr().out.splitlines(),
+                  (out / "summary.txt").read_text().splitlines()):
+        assert lines[-2] == warning and lines[-1].startswith("overall:")
+        assert sum(line.startswith("warning:") for line in lines) == 1
 
 
 def check_edge_config(config, tmp_path, capsys, sub, assignment):

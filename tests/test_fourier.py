@@ -173,19 +173,19 @@ class TestConvolve:
 class TestWeightsAndSets:
     def test_center_mode_star_norm(self):
         grid = d.FourierGrid(4, 18)
-        w = d.mode_weights(grid, (np.pi, 0.0), 0.0)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 0.0)
         e0 = np.zeros(grid.n_modes)
         e0[grid.mode_index(0, 0)] = 1.0
         assert d.weighted_norm(e0, w, "star") == pytest.approx(np.pi, abs=1e-12)
 
     def test_zero_vector(self):
         grid = d.FourierGrid(4, 18)
-        w = d.mode_weights(grid, (np.pi, 0.0), 0.0)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 0.0)
         assert d.weighted_norm(np.zeros(grid.n_modes), w, "star") == 0.0
 
     def test_center_mode_star_plus(self):
         grid = d.FourierGrid(4, 18)
-        w = d.mode_weights(grid, (np.pi, 0.0), 2 * np.pi)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 2 * np.pi)
         e0 = np.zeros(grid.n_modes)
         e0[grid.mode_index(0, 0)] = 1.0
         assert d.weighted_norm(e0, w, "star_plus") == pytest.approx(np.pi * np.sqrt(5), abs=1e-12)
@@ -196,7 +196,7 @@ class TestWeightsAndSets:
         for _ in range(25):
             k = rng.uniform(0, 2 * np.pi, 2)
             mu = rng.uniform(0, 10 * np.pi)
-            w = d.mode_weights(grid, k, mu)
+            w = d.ModeWeights(grid, k, mu)
             v = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
             star = d.weighted_norm(v, w, "star")
             assert star <= d.weighted_norm(v, w, "star_plus") + 1e-12
@@ -206,22 +206,22 @@ class TestWeightsAndSets:
         grid = d.FourierGrid(6, 26)
         rng = np.random.default_rng(7)
         for _ in range(10):
-            w = d.mode_weights(grid, (np.pi, rng.uniform(0, 2 * np.pi)),
+            w = d.ModeWeights(grid, (np.pi, rng.uniform(0, 2 * np.pi)),
                                rng.uniform(0, 12 * np.pi))
             assert np.min(w.g_min) >= np.pi - 1e-12
 
     def test_index_set_mu0_example(self):
         # Exhaustive check of (pi + 2 pi N1)^2 + (2 pi N2)^2 <= (2 pi)^2.
         grid = d.FourierGrid(4, 18)
-        w = d.mode_weights(grid, (np.pi, 0.0), 0.0)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 0.0)
         ts = d.index_set_T(w, 2 * np.pi, "+")
         assert sorted(ts.modes()) == [(-1, 0), (0, 0)]
-        assert ts.count == 2
+        assert ts.analytic_count == 2
         assert not ts.window_overflow
 
     def test_index_set_shifted_example(self):
         grid = d.FourierGrid(4, 18)
-        w = d.mode_weights(grid, (np.pi, 0.0), 4 * np.pi)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 4 * np.pi)
         ts = d.index_set_T(w, 2 * np.pi, "+")
         assert sorted(ts.modes()) == [(-1, -2), (0, -2)]
 
@@ -229,7 +229,7 @@ class TestWeightsAndSets:
         grid = d.FourierGrid(12, 50)
         for k2 in (0.0, 0.3, np.pi):
             for mu in (0.0, 4 * np.pi, 12 * np.pi):
-                w = d.mode_weights(grid, (np.pi, k2), mu)
+                w = d.ModeWeights(grid, (np.pi, k2), mu)
                 for a in (2 * np.pi, 4 * np.pi, 8 * np.pi):
                     for sign in ("+", "-"):
                         ts = d.index_set_T(w, a, sign)
@@ -238,14 +238,25 @@ class TestWeightsAndSets:
 
     def test_window_overflow_flag(self):
         grid = d.FourierGrid(2, 10)
-        w = d.mode_weights(grid, (np.pi, 0.0), 12 * np.pi)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 12 * np.pi)
         ts = d.index_set_T(w, 2 * np.pi, "+")
         assert ts.window_overflow
         assert ts.in_window_count < ts.analytic_count
 
+    def test_one_guard_refuses_inseparable_k_and_mu(self):
+        # Past 2^53, k + 2 pi N no longer separates modes: the weights and the
+        # fiber refuse such k or mu with the same error.
+        grid = d.FourierGrid(2, 10)
+        cs = d.CoefficientSet.constant(grid)
+        for k, mu in (((2.0**53, 0.0), 0.0), ((0.0, -2.0**53), 0.0), ((0.0, 0.0), 1e300)):
+            with pytest.raises(d.InadmissibleParameterError, match="must stay below 2\\^53"):
+                d.ModeWeights(grid, k, mu)
+            with pytest.raises(d.InadmissibleParameterError, match="must stay below 2\\^53"):
+                d.assemble_dpm(cs, k, mu, "+")
+
     def test_radius_precondition(self):
         grid = d.FourierGrid(2, 10)
-        w = d.mode_weights(grid, (np.pi, 0.0), 0.0)
+        w = d.ModeWeights(grid, (np.pi, 0.0), 0.0)
         with pytest.raises(ValueError):
             d.index_set_T(w, np.pi, "+")
 

@@ -154,7 +154,7 @@ def gauge_rhs_minus(cs, c1, c2, sol):
     """C'_- = C_- - (G - iF)(k_1 + i kappa_1) + iH(k_2 + i kappa_2)."""
     w1 = complex(sol.k[0], sol.kappa[0])
     w2 = complex(sol.k[1], sol.kappa[1])
-    return c1.coeffs - 1j * c2.coeffs - w1 * cs.c_minus().coeffs + 1j * w2 * cs.h.coeffs
+    return c1.coeffs - 1j * c2.coeffs - w1 * cs.c_minus.coeffs + 1j * w2 * cs.h.coeffs
 
 
 class TestSingleFactorization:
@@ -236,13 +236,13 @@ def svd_reference(cs, c1, c2):
     chi_p = u[:, -1]
     chi_m = np.conj(chi_p[::-1])
     h = cs.h.coeffs
-    pair = SimpleNamespace(mu1_plus=np.vdot(chi_p, cs.c_plus().coeffs),
-                           mu1_minus=np.vdot(chi_m, cs.c_minus().coeffs),
+    pair = SimpleNamespace(mu1_plus=np.vdot(chi_p, cs.c_plus.coeffs),
+                           mu1_minus=np.vdot(chi_m, cs.c_minus.coeffs),
                            mu2_plus=np.vdot(chi_p, 1j * h), mu2_minus=np.vdot(chi_m, -1j * h))
     c_p, c_m = c1.coeffs + 1j * c2.coeffs, c1.coeffs - 1j * c2.coeffs
     w1, w2 = d.quasimomentum_from_pairings(pair, np.vdot(chi_p, c_p), np.vdot(chi_m, c_m))
-    rhs_p = c_p - w1 * cs.c_plus().coeffs - 1j * w2 * h
-    rhs_m = c_m - w1 * cs.c_minus().coeffs + 1j * w2 * h
+    rhs_p = c_p - w1 * cs.c_plus.coeffs - 1j * w2 * h
+    rhs_m = c_m - w1 * cs.c_minus.coeffs + 1j * w2 * h
     r = grid.n_modes - 1
     rhs = np.column_stack([rhs_p, np.conj(rhs_m[::-1])])
     x = vh[:r].conj().T @ ((u[:, :r].conj().T @ rhs) / s[:r, None])
@@ -333,7 +333,7 @@ class TestCanonicalGauge:
         kt1, kt2 = can.kappa_tilde
         lhs = 1j * d.assemble_dpm(cs, (0, 0), 0.0, "+").apply(
             can.phi.coeffs - 1j * can.psi.coeffs)
-        rhs = -kt1 * cs.c_plus().coeffs - 1j * (kt2 + 1j) * cs.h.coeffs
+        rhs = -kt1 * cs.c_plus.coeffs - 1j * (kt2 + 1j) * cs.h.coeffs
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
     def test_spinor_conjugation_identity(self):

@@ -328,7 +328,7 @@ class TestApplication:
             zero = d.PeriodicScalarField.constant(grid, 0.0)
             d.verify_coercivity(cs, c1, zero, can.psi, 8 * np.pi, 2 * np.pi, (np.pi, 0.0),
                                 trials=2)
-            weights = d.mode_weights(grid, (np.pi, 0.0), 8 * np.pi)
+            weights = d.ModeWeights(grid, (np.pi, 0.0), 8 * np.pi)
             d.cross_term_check(c1, weights, 2 * np.pi, 3 * np.pi, n_trials=2)""")
 
     def test_dimension_mismatch(self):
@@ -353,7 +353,7 @@ class TestIdentities:
         k = (1.0, 0.4)
         c1, c2 = d.estimate_c1_c2(cs, k, 0.0)
         assert 0 < c1 <= c2
-        w = d.mode_weights(grid, k, 0.0)
+        w = d.ModeWeights(grid, k, 0.0)
         for sign in ("+", "-"):
             op = d.assemble_dpm(cs, k, 0.0, sign)
             variant = "star_plus" if sign == "+" else "star_minus"
@@ -677,14 +677,14 @@ class TestSparseForm:
                               (d.PeriodicScalarField.constant(grid, 0.0), 0),
                               (smooth, 5)):
             assert field.band_radius == radius
-            assert field.band_limited == (2 * radius < 5)
+            assert d.operators._band_limited([(0, 0, field, None)]) == (2 * radius < 5)
             csr = field.convolution
             assert csr.has_canonical_format and csr.nnz == np.count_nonzero(csr.data)
             assert np.array_equal(csr.toarray(), _convolution_matrix(field, slice(None)))
 
     def test_coefficient_fields_are_built_once(self):
         _, cs, _ = random_set(m=6, seed=52)
-        assert cs.c_plus() is cs.c_plus() and cs.c_minus() is cs.c_minus()
+        assert cs.c_plus is cs.c_plus and cs.c_minus is cs.c_minus
         a = d.assemble_dirac(cs, None, (0.1, 0.2))
         b = d.assemble_dirac(cs, None, (0.3, 0.4))
         assert [t[2] for t in a.factors[0]] == [t[2] for t in b.factors[0]]
@@ -721,7 +721,7 @@ class TestSparseForm:
         for op in (d.multiplication_operator(smooth),
                    d.assemble_dirac(d.CoefficientSet.constant(grid),
                                     d.MatrixPotential(smooth, zero, zero, zero), (0.1, 0.2))):
-            assert not smooth.band_limited and op.route == "dense LU"
+            assert not d.operators._band_limited([(0, 0, smooth, None)]) and op.route == "dense LU"
 
     def test_sparse_middle_factor_matches_the_dense_blocks(self, monkeypatch):
         lhs, _ = conjugated_pair(8, seed=54)
