@@ -20,7 +20,8 @@ Fiber solves follow the fiber's ``route`` (see :mod:`dirac2d.operators`).
 With constant coefficients and potential (the free reference operator) each
 mode is its own 2x2 block, and bands, sigma_min and the equivalence constants
 are batched per-mode solves.  Else a sweep point or d_pm is factored once
-(sparse or dense LU) and sigma_min read off by Lanczos on the LU solves of
+(sparse or dense LU; a sweep orders the sparse columns once per sparsity
+pattern) and sigma_min read off by Lanczos on the LU solves of
 (A^H A)^{-1}; a Hermitian fiber without diagonal blocks gets its bands as
 +-sigma of one off-diagonal block (:func:`band_structure`).
 
@@ -86,10 +87,11 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-def smallest_singular_value(op: TruncatedOperator) -> float:
+def smallest_singular_value(op: TruncatedOperator, *, orders: dict | None = None) -> float:
     """sigma_min of a truncated operator on its ``route``: the least per-mode
     block singular value, else A is factored once
-    (:func:`~dirac2d.operators.lu_solver`) and seeded Lanczos
+    (:func:`~dirac2d.operators.lu_solver`, which reuses a SuperLU column order
+    from ``orders`` for a sparsity pattern it has seen) and seeded Lanczos
     (:func:`~dirac2d.operators.lanczos_singular_value`) finds lambda_max of
     (A^H A)^{-1} through two triangular solves per step, so sigma_min =
     lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
@@ -99,7 +101,7 @@ def smallest_singular_value(op: TruncatedOperator) -> float:
     """
     if op.route == "per-mode":
         return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
-    solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse)
+    solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse, orders)
     if solve is None:
         return 0.0
     # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
@@ -232,6 +234,13 @@ class SweepConfig:
     k2_grid: tuple = (0.0,)
 
     def __post_init__(self):
+        # An empty grid has no point to sweep, and a NaN point reads as a
+        # certificate failure; the CLI schema refuses both as well.
+        for name in ("direction", "k_prime", "kappa_prime", "mu_grid", "k2_grid"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.size == 0 or not np.all(np.isfinite(values)):
+                raise InadmissibleParameterError(
+                    f"sweep {name} = {getattr(self, name)!r} must be non-empty and finite")
         e = np.asarray(self.direction, dtype=float)
         if abs(np.linalg.norm(e) - 1.0) > 1e-9:
             raise InadmissibleParameterError(f"sweep direction {tuple(e)} is not a unit vector")
@@ -266,21 +275,26 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
                     sweep: SweepConfig) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
-    Each point is one :func:`smallest_singular_value`.  A value below the
-    certificate floor, or NaN, is flagged (a potential eigenvalue certificate
-    failure), never raised; a log-linear floor is fitted to the per-mu_tilde
-    minima when all are positive and there are at least two distinct mu_tilde
-    values.
+    Each point is one :func:`smallest_singular_value`.  Every point has the
+    same fields, so on the ``sparse LU`` route the points share one sparsity
+    pattern (a pattern changes only where an entry cancels to exactly 0), and
+    the SuperLU column order of each pattern is computed once per call and
+    reused by the later points with the same bits; the orders are dropped when
+    the sweep returns.  A value below the certificate floor, or NaN, is flagged
+    (a potential eigenvalue certificate failure), never raised; a log-linear
+    floor is fitted to the per-mu_tilde minima when all are positive and there
+    are at least two distinct mu_tilde values.
     """
     e = np.asarray(sweep.direction, dtype=float)
     kp = np.asarray(sweep.k_prime, dtype=float)
     cp = np.asarray(sweep.kappa_prime, dtype=float)
     sigma = np.empty((len(sweep.mu_grid), len(sweep.k2_grid)))
+    orders = {}
     for i, mu in enumerate(sweep.mu_grid):
         for j, k2 in enumerate(sweep.k2_grid):
             z = ComplexQuasimomentum(np.array([np.pi, k2]) + kp, mu * e + cp)
             op = assemble_dirac(coeffs, V, z)
-            sigma[i, j] = smallest_singular_value(op)
+            sigma[i, j] = smallest_singular_value(op, orders=orders)
     min_per_mu = sigma.min(axis=1)
     flagged = ~(min_per_mu >= TOLERANCES["sigma_min_flag"])
 

@@ -330,8 +330,9 @@ def project(phi: np.ndarray, mode_set) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def require_separable(k, mu: float) -> None:
-    """Refuse |k| or |mu| of 2^53 or more, where k + 2 pi N no longer separates modes."""
-    if not max(abs(k[0]), abs(k[1]), abs(mu)) < 2.0**53:
+    """Refuse |k| or |mu| of 2^53 or more, where k + 2 pi N no longer separates
+    modes, and NaN in any slot (every comparison with NaN is false)."""
+    if not all(abs(v) < 2.0**53 for v in (k[0], k[1], mu)):
         raise InadmissibleParameterError(
             f"k = {tuple(k)}, mu = {mu}: |k| and |mu| must stay below 2^53, "
             "where k + 2 pi N no longer separates modes")

@@ -383,15 +383,42 @@ def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     return TruncatedOperator(field.grid, 1, [[(0, 0, field, None)]])
 
 
-def lu_solver(a):
+def lu_solver(a, orders: dict | None = None):
     """``solve(b, trans="N")`` for A x = b (A^H x = b with ``trans="H"``) from one LU
     of A, ``splu`` when A is sparse and ``zgetrf`` when dense; None when the LU
-    meets an exactly zero pivot (A is singular in floating point)."""
+    meets an exactly zero pivot (A is singular in floating point).
+
+    ``orders`` is a dict the caller owns, keyed by the CSC sparsity pattern.
+    SuperLU's column order (COLAMD, then the elimination-tree postorder)
+    depends on the pattern alone, so the first sparse A of a pattern takes a
+    plain ``splu`` and stores its column order ``order`` (not when it meets a
+    zero pivot), and every later A of that pattern is factored as
+    A[:, order] with ``permc_spec="NATURAL"``: the same factors without
+    recomputing the order.  A x = b is then x[order] = y with
+    A[:, order] y = b, and A^H x = b is A[:, order]^H x = b[order].
+    """
     if scipy.sparse.issparse(a):
+        a = a.tocsc()
+        key = None if orders is None else (a.indptr.tobytes(), a.indices.tobytes())
+        order = None if key is None else orders.get(key)
+        if order is not None:
+            a = a[:, order]  # the unordered copy is freed before SuperLU allocates
         try:
-            return scipy.sparse.linalg.splu(a.tocsc()).solve
+            lu = scipy.sparse.linalg.splu(a, permc_spec=None if order is None else "NATURAL")
         except RuntimeError:  # SuperLU met an exactly zero pivot
             return None
+        if order is None:
+            if key is not None:
+                orders[key] = np.argsort(lu.perm_c)
+            return lu.solve
+
+        def solve_ordered(b, trans="N"):
+            if trans == "H":
+                return lu.solve(b[order], trans="H")
+            x = np.empty_like(b)
+            x[order] = lu.solve(b)
+            return x
+        return solve_ordered
     lu, piv, info = scipy.linalg.lapack.zgetrf(a)
 
     def solve(b, trans="N"):

@@ -327,10 +327,74 @@ class TestSweep:
     def test_nan_sigma_min_is_flagged(self, monkeypatch):
         # A NaN minimum compares false with the floor; it must still be flagged.
         _, cs = constant_set(3)
-        monkeypatch.setattr(d.analysis, "smallest_singular_value", lambda op: float("nan"))
+        monkeypatch.setattr(d.analysis, "smallest_singular_value",
+                            lambda op, **kwargs: float("nan"))
         rep = d.sigma_min_sweep(cs, None, d.SweepConfig(mu_grid=(0.0, 1.0), k2_grid=(0.0,)))
         assert np.all(np.isnan(rep.min_per_mu)) and rep.flagged.tolist() == [True, True]
         assert rep.floor_log_intercept is None
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_reused_column_order_keeps_the_bits(self, monkeypatch, m):
+        # A sweep reuses each pattern's SuperLU column order; every sigma has
+        # the bits of a fresh smallest_singular_value of the same fiber.  The
+        # k2 = 0 line has exact zeros on the diagonal of its symbols.
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(60 + m)
+        cs = d.random_gamma_instance(grid, rng, degree=1 if m == 4 else 2)
+        sweep = d.SweepConfig(mu_grid=(0.0, 3.0, 11.0), k2_grid=(0.0, rng.uniform(0, 2 * np.pi)))
+        for V in (None, d.MatrixPotential.diagonal(grid, v3=0.3)):
+            refs = [d.smallest_singular_value(d.assemble_dirac(
+                cs, V, d.ComplexQuasimomentum((np.pi, k2), (mu, 0.0))))
+                for mu in sweep.mu_grid for k2 in sweep.k2_grid]
+            with monkeypatch.context() as mp:
+                calls = count_splu(mp)
+                rep = d.sigma_min_sweep(cs, V, sweep)
+            assert rep.route == "sparse LU"
+            assert [spec for _, spec in calls].count("NATURAL") >= 3
+            assert rep.sigma.tobytes() == np.array(refs).reshape(rep.sigma.shape).tobytes()
+
+    def test_one_colamd_order_per_sweep(self, monkeypatch):
+        grid, cs, rng = random_set(6, seed=21)
+        mass = d.MatrixPotential.diagonal(grid, v3=0.3)
+        sweep = d.SweepConfig(mu_grid=tuple(np.linspace(0, 20 * np.pi, 7)),
+                              k2_grid=(rng.uniform(0, 2 * np.pi),))
+        calls = count_splu(monkeypatch)
+        rep = d.sigma_min_sweep(cs, mass, sweep)
+        dim = 2 * grid.n_modes
+        assert rep.route == "sparse LU"
+        assert calls == [((dim, dim), "COLAMD")] + [((dim, dim), "NATURAL")] * 6
+        # A second sweep starts from no stored order.
+        d.sigma_min_sweep(cs, mass, sweep)
+        assert calls[7:] == calls[:7]
+
+    def test_zero_pivot_on_a_reused_order(self, monkeypatch):
+        # A zero pivot at a reused order gives 0.0, flagged; the next point
+        # still reuses the order and keeps its bits.
+        grid, cs, rng = random_set(6, seed=22)
+        mass = d.MatrixPotential.diagonal(grid, v3=0.3)
+        sweep = d.SweepConfig(mu_grid=(0.0, 2.0, 4.0), k2_grid=(rng.uniform(0, 2 * np.pi),))
+        ref = d.sigma_min_sweep(cs, mass, sweep)
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def failing_once(a, *args, **kwargs):
+            calls.append(kwargs.get("permc_spec") or "COLAMD")
+            if calls == ["COLAMD", "NATURAL"]:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_once)
+        rep = d.sigma_min_sweep(cs, mass, sweep)
+        assert calls == ["COLAMD", "NATURAL", "NATURAL"]
+        assert rep.sigma[1, 0] == 0.0 and rep.flagged.tolist() == [False, True, False]
+        assert rep.sigma[[0, 2]].tobytes() == ref.sigma[[0, 2]].tobytes()
+
+    @pytest.mark.parametrize("name, value", [
+        ("mu_grid", ()), ("k2_grid", ()), ("mu_grid", (0.0, float("nan"))),
+        ("k2_grid", (float("nan"),)), ("k_prime", (float("nan"), 0.0)),
+        ("kappa_prime", (0.0, float("nan"))), ("mu_grid", (float("inf"),))])
+    def test_config_refuses_empty_or_nan(self, name, value):
+        with pytest.raises(d.InadmissibleParameterError, match=name):
+            d.SweepConfig(**{name: value})
 
     def test_sweep_repeats_bytes(self):
         _, cs, _ = random_set(seed=6)
@@ -427,12 +491,12 @@ class TestEquivalenceConstants:
 
 
 def count_splu(monkeypatch):
-    """Record the shape of every sparse LU taken."""
+    """Record the shape and column-order spec of every sparse LU taken."""
     calls = []
     splu = scipy.sparse.linalg.splu
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append((a.shape, kwargs.get("permc_spec") or "COLAMD"))
         return splu(a, *args, **kwargs)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     return calls
@@ -556,7 +620,7 @@ class TestPerModeRoute:
         assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
         table = d.band_structure(cs, V, [[0.3, 0.2]])
         assert table.route == "dense LAPACK"
-        assert splu_calls == [(op.dim, op.dim)]
+        assert splu_calls == [((op.dim, op.dim), "COLAMD")]
         assert eigvalsh_calls == [(op.dim, op.dim)]
 
 

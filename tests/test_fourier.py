@@ -245,10 +245,11 @@ class TestWeightsAndSets:
 
     def test_one_guard_refuses_inseparable_k_and_mu(self):
         # Past 2^53, k + 2 pi N no longer separates modes: the weights and the
-        # fiber refuse such k or mu with the same error.
+        # fiber refuse such k or mu with the same error, and NaN in any slot.
         grid = d.FourierGrid(2, 10)
         cs = d.CoefficientSet.constant(grid)
-        for k, mu in (((2.0**53, 0.0), 0.0), ((0.0, -2.0**53), 0.0), ((0.0, 0.0), 1e300)):
+        for k, mu in (((2.0**53, 0.0), 0.0), ((0.0, -2.0**53), 0.0), ((0.0, 0.0), 1e300),
+                      ((np.nan, 0.0), 0.0), ((0.0, np.nan), 0.0), ((0.0, 0.0), np.nan)):
             with pytest.raises(d.InadmissibleParameterError, match="must stay below 2\\^53"):
                 d.ModeWeights(grid, k, mu)
             with pytest.raises(d.InadmissibleParameterError, match="must stay below 2\\^53"):
