@@ -349,26 +349,16 @@ def estimate_c1_c2(coeffs: CoefficientSet, k, mu: float = 0.0) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 def _cholesky_completes(b: np.ndarray) -> bool:
-    """Whether the Cholesky factorisation of Hermitian ``b`` runs to completion.
+    """Whether LAPACK's Cholesky factorisation of Hermitian ``b`` completes.
 
-    Left-looking, column by column, in place on the lower triangle: column j
-    loses the products of the earlier columns (one matrix-vector product),
-    then is divided by the square root of its diagonal entry, which must be
-    positive and finite.  The products go to two preallocated vectors, so the
-    loop makes no array per column.
+    ``zpotrf`` reads the lower triangle and stops at a pivot that is not
+    positive, but passes a NaN pivot, so every pivot (the factor's diagonal)
+    must also be finite; a non-finite entry below the diagonal feeds a later one.
     """
-    n = b.shape[0]
-    row, prod = np.empty(n, dtype=b.dtype), np.empty(n, dtype=b.dtype)
-    with np.errstate(all="ignore"):
-        for j in range(n):
-            col = b[j:, j]
-            np.conjugate(b[j, :j], out=row[:j])
-            col -= np.matmul(b[j:, :j], row[:j], out=prod[j:])
-            d = col[0].real
-            if not 0.0 < d < np.inf:
-                return False
-            col /= math.sqrt(d)
-    return True
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(b).diagonal()).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray) -> np.ndarray:
@@ -399,11 +389,8 @@ def _relative_bound_constants(w_field: PeriodicScalarField, eps_grid: np.ndarray
     stable but state no constant.  The plain-max oracle tests in
     ``tests/test_analysis.py`` are what check the bits.  A factorisation that
     fails (a near tie, a non-finite entry) only sends the corner to
-    ``eigvalsh``.
-    The factorisation is a loop of numpy products, not LAPACK's: numpy's
-    ``cholesky`` pages in about 0.5 MiB more OpenBLAS code (the benchmark's
-    peak RSS read 0.28 MiB higher with it), and scipy's runs on scipy's own
-    OpenBLAS, whose threads contend with numpy's when the calls alternate.
+    ``eigvalsh``.  Both are numpy's LAPACK: scipy's ``zpotrf`` would alternate
+    with ``eigvalsh`` between two OpenBLAS copies, whose threads contend.
     """
     grid = w_field.grid
     c = multiplication_operator(w_field).matrix
@@ -528,8 +515,15 @@ def potential_profile(w: PeriodicScalarField, *, eps_grid=None, b_grid=None,
             f"|W|^2 of the potential W is not finite (max |W| = {top!r})")
 
     b_grid = np.linspace(0.0, top * (1.0 + 1e-6), 16) if b_grid is None else np.asarray(b_grid, dtype=float)
-    count_grid = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096]) \
-        if count_grid is None else np.asarray(count_grid, dtype=int)
+    if count_grid is None:
+        count_grid = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096])
+    else:
+        count_grid = np.asarray(count_grid)
+        inside = (count_grid >= 1) & (count_grid < 2**63)  # False at NaN
+        if not inside.all():  # checked before the cast to int64, which would overflow
+            raise InadmissibleParameterError(
+                f"count_grid entries {count_grid[~inside].tolist()} lie outside [1, 2^63)")
+        count_grid = count_grid.astype(int)
     t_grid = np.geomspace(TWO_PI, 64 * np.pi, 10) if t_grid is None else np.asarray(t_grid, dtype=float)
     for name, g in (("b_grid", b_grid), ("count_grid", count_grid), ("t_grid", t_grid)):
         if g.size == 0:
@@ -697,6 +691,11 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
         raise ValueError("n_max must be >= 1")
     if not psi.is_real():
         raise InadmissibleParameterError("Psi must be real: the minus moments use conj(z) = 1/z")
+    with np.errstate(over="ignore"):  # refused below
+        w_sum = float(np.sum(np.abs(w.coeffs)))
+    if not math.isfinite(w_sum * w_sum):  # |I_nu| <= sum |W_N|
+        raise InadmissibleParameterError(
+            f"(sum |W_N|)^2 of the potential W is not finite (sum |W_N| = {w_sum!r})")
     (s1, s2), req = quadrature_resolution(psi, n_max, resolution)
 
     real = w.is_real()
@@ -731,7 +730,11 @@ def wiener_average(w: PeriodicScalarField, psi: PeriodicScalarField, n_max: int,
 
     abs_p = np.abs(i_plus)
     abs_m = np.abs(i_minus)
-    averages = np.cumsum(abs_p**2) / np.arange(1, n_max + 1)
+    with np.errstate(over="ignore"):  # refused below
+        averages = np.cumsum(abs_p**2) / np.arange(1, n_max + 1)
+    # The averages are finite only if every |I+_nu| is.
+    if not (np.isfinite(averages).all() and np.isfinite(abs_m).all()):
+        raise InadmissibleParameterError("|I_nu| or A(N) of the potential W is not finite")
     m_plus = tuple(int(nu) for nu in np.nonzero(abs_p >= theta)[0] + 1)
     m_minus = tuple(int(nu) for nu in np.nonzero(abs_m >= theta)[0] + 1)
     return WienerReport(n_max=n_max, theta=theta, abs_i_plus=abs_p, abs_i_minus=abs_m,

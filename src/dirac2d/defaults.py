@@ -21,7 +21,7 @@ TOLERANCES = {
     "hermitian": 1e-12,
     # Singular-value gap below which the cokernel is declared degenerate.
     "cokernel_gap": 1e-8,
-    # Condition-number ceiling for the restricted gauge least-squares solve.
+    # Ceiling on s[0]/s[-2] of i d_+(0), the condition number of the zero-mean gauge solve (LU).
     "gauge_condition_limit": 1e12,
     # Tolerance on the symmetry laws of the gauge solver (real data => kappa = 0, ...).
     "gauge_symmetry": 1e-8,

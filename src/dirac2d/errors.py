@@ -23,7 +23,7 @@ class DegenerateCokernelError(Dirac2DError, RuntimeError):
 
 
 class IllConditionedError(Dirac2DError, RuntimeError):
-    """A restricted least-squares system exceeded the condition-number limit."""
+    """The zero-mean gauge solve's condition number s[0]/s[-2] of i d_+(0) exceeded the limit."""
 
 
 class GaugeOverflowError(Dirac2DError, RuntimeError):

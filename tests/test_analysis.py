@@ -763,10 +763,7 @@ class TestRelativeBoundConstants:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         gram = a @ a.conj().T
-        b = gram + np.eye(40)
-        ref = np.linalg.cholesky(b)
-        assert d.analysis._cholesky_completes(b)
-        assert np.allclose(np.tril(b, -1), np.tril(ref, -1), rtol=0, atol=1e-12)
+        assert d.analysis._cholesky_completes(gram + np.eye(40))
         shift = np.linalg.eigvalsh(gram)[1]  # one negative eigenvalue left
         for bad in (gram - shift * np.eye(40), -np.eye(3)):
             assert not d.analysis._cholesky_completes(bad)
@@ -794,23 +791,30 @@ class TestRelativeBoundConstants:
 
     def test_shipped_profile_solves_one_corner_per_eps(self, monkeypatch, tmp_path):
         # Three of the four corners are certified below the first one's top
-        # eigenvalue by a Cholesky factorisation, except at eps = 1e-8, where
-        # they tie.  No LAPACK factorisation: numpy's pages in more OpenBLAS
-        # code (peak RSS), scipy's alternates between two OpenBLAS copies.
+        # eigenvalue by numpy's Cholesky factorisation, except at eps = 1e-8,
+        # where they tie.  Not scipy's: it would alternate with eigvalsh
+        # between two OpenBLAS copies, whose threads contend.
         from dirac2d import cli
         config = Path(__file__).resolve().parents[1] / "configs" / "variable_smooth.yaml"
         w = cli.RunContext(cli.load_config(config), "profile", config,
                            tmp_path / "o").field("profile.w")
-        for owner, name in ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "zpotrf"),
-                            (np.linalg, "cholesky")):
+        for owner, name in ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "zpotrf")):
             def forbidden(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} called")
             monkeypatch.setattr(owner, name, forbidden)
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            factored.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         calls = TestBandStructure.count_eigvalsh(monkeypatch)
         prof = d.potential_profile(w)
         n = w.grid.n_modes
-        assert prof.eps_grid.size == 9
+        assert prof.eps_grid.size == 9 and n == 289
         assert calls == [(n, n)] * 12
+        assert factored == [(n, n)] * 27
 
 
 @pytest.fixture(scope="module")
@@ -1031,6 +1035,18 @@ class TestWiener:
         psi = d.PeriodicScalarField.from_modes(grid, {(0, 1): 0.05j})
         assert not psi.is_real()
         with pytest.raises(d.InadmissibleParameterError, match="Psi must be real"):
+            d.wiener_average(w, psi, 8, 0.1)
+
+    def test_overflowing_averages_are_refused(self):
+        # (sum |W_N|)^2 = 1.34e154^2 is finite, so W passes the check before
+        # sampling.  Psi - x2 is nearly constant (Psi is the truncated series
+        # of x2 - 1/2), so |I_nu| is near |W| for the first few nu and the
+        # running sum of |I_nu|^2 overflows; it is refused without a warning.
+        grid = d.FourierGrid(6, 26)
+        psi = d.PeriodicScalarField.from_modes(grid, {(0, s * n): s * 1j / (2 * np.pi * n)
+                                                     for n in range(1, 7) for s in (1, -1)})
+        w = d.PeriodicScalarField.constant(grid, 1.34e154)
+        with pytest.raises(d.InadmissibleParameterError, match=r"A\(N\)"):
             d.wiener_average(w, psi, 8, 0.1)
 
     def test_wiener_peak_memory(self):

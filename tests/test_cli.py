@@ -310,6 +310,10 @@ EDGE_CONFIGS = [
     ("bands", "bands.k_grid=[[1e308, 1e308]]"),
     ("sweep", "sweep.k2_grid=[1e308]"),
     ("wiener", "wiener.psi={modes: [[0, 1, 0.0, 0.05]]}"),
+    ("profile", "profile.count_grid=[1e30]"),
+    ("profile", "profile.count_grid=[10000000000000000000]"),
+    ("wiener", "wiener.w={constant: 1e200}"),
+    ("wiener", "wiener.w={constant: 1.7e308}"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
