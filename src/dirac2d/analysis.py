@@ -984,6 +984,9 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
     if a1 < DEFAULTS["a_min"]:
         raise InadmissibleParameterError(f"need a1 >= 2 pi, got {a1}")
     delta = min(c1 / 32.0, 1.5 * c8)
+    if not delta**2 > 0 or not np.isfinite(c2**2 / delta**2):
+        raise InadmissibleParameterError(f"need a finite c2^2 / delta^2, got delta = "
+                                         f"min(c1/32, 3 c8/2) = {delta} and c2 = {c2}")
     j_count = int(np.ceil(c2**2 / delta**2))
 
     grid = coeffs.grid

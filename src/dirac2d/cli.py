@@ -2,9 +2,10 @@
 
 Runs are described by a single YAML document (nested key/value sections); a
 few scalar flags (--seed, --out, --set key=value) override config scalars.
-``SCHEMA`` lists every key a run reads with its kind and default.  Per-fiber
-work runs serially: ``--workers`` and the ``workers`` key are still accepted,
-but only with the value 1.
+``SCHEMA`` lists every key a run reads with its kind and default;
+``check_schema`` parses each key the config sets once, and runs read the
+parsed values.  Per-fiber work runs serially: ``--workers`` and the
+``workers`` key are still accepted, but only with the value 1.
 Every run writes a JSON manifest carrying the full configuration, every
 tolerance and default in force, content hashes of the inputs and outputs, and
 the seed policy, plus CSV data files and a plain-text summary; ``write_csv``
@@ -132,8 +133,9 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 # What a run reads, by dotted key: (kind, default, words the key accepts in
 # place of its kind...).  A mapping is listed before the keys inside it.  A key
 # whose default is REQUIRED must be set, except that a section named after a
-# subcommand is required only by that subcommand.  Field specs are checked where
-# they are built (RunContext.field); a "word" key takes only its words.
+# subcommand is required only by that subcommand.  A missing field spec and its
+# contents are found where it is built (RunContext.field); a "word" key takes
+# only its words.
 REQUIRED = object()
 SCHEMA = {
     "grid": ("map", REQUIRED), "grid.truncation_radius": ("int", REQUIRED),
@@ -184,23 +186,27 @@ _PARTS = {"line": {"start": "num", "stop": "num", "count": "count"},
           "kgrid": {"n1": "count", "n2": "count"}}
 _ENTRY = {"pair": "num", "nums": "num", "counts": "count", "posnums": "pos",
           "line": "num", "kgrid": "pair"}
+_FIELD_PARTS = ("constant", "modes", "file")  # a field spec has one of these
 _ABSENT = object()
 
 
-def check_schema(cfg: dict, subcommand: str) -> None:
+def check_schema(cfg: dict, subcommand: str) -> dict:
     """Reject a malformed config, naming the dotted key, before any work starts.
 
-    Every key present is checked, whichever subcommand reads it.
+    Every key present is checked, whichever subcommand reads it.  Returns each
+    SCHEMA key's parsed value: the config's, else the default (None stays None).
     """
     others = set(SUBCOMMANDS) - {subcommand}
+    values = {}
     for key, (kind, default, *words) in SCHEMA.items():
-        if kind == "field":
-            continue
         value = _lookup(cfg, key)
         if value is not _ABSENT:
-            _check_value(value, key, kind, words)
-        elif default is REQUIRED and key not in others:
+            values[key] = _parse(value, key, kind, words)
+        elif default is not REQUIRED:
+            values[key] = None if default is None else _parse(default, key, kind, words)
+        elif key not in others and kind != "field":  # a field is missed where it is built
             raise _missing(key)
+    return values
 
 
 def _lookup(cfg: dict, key: str):
@@ -217,52 +223,42 @@ def _missing(key: str) -> ConfigSchemaError:
     return ConfigSchemaError(f"{section or 'config'}: missing required key {name!r}")
 
 
-def _check_value(value, key: str, kind: str, words=()) -> None:
+def _parse(value, key: str, kind: str, words=()):
+    """``value`` checked against ``kind`` and made what a run uses; a misfit names ``key``."""
     if any(type(value) is type(w) and value == w for w in words):  # workers: true is not 1
-        return
+        return value
+    if kind == "word":
+        raise ConfigSchemaError(f"{key}: expected one of {', '.join(map(str, words))}, "
+                                f"got {value!r}")
+    if kind == "field":  # stored as given; RunContext.field reads its part
+        if isinstance(value, dict) and any(part in value for part in _FIELD_PARTS):
+            return value
+        raise ConfigSchemaError(f"{key}: expected a mapping with one of "
+                                f"{'/'.join(_FIELD_PARTS)}, got {value!r}")
     if kind in _PARTS and isinstance(value, dict):
-        for part, sub in _PARTS[kind].items():
-            _check_value(value.get(part), f"{key}.{part}", sub)
-        return
-    if kind == "real" and not isinstance(value, (int, float)):
-        ok = False  # no text, unlike "num"
-    elif kind in ("num", "real", "count", "pos"):
+        parts = [_parse(value.get(part), f"{key}.{part}", sub)
+                 for part, sub in _PARTS[kind].items()]
+        return np.linspace(*parts) if kind == "line" else brillouin_grid(*parts)
+    if kind in _ENTRY:
+        if isinstance(value, list) and (len(value) == 2 if kind == "pair" else len(value) > 0):
+            entries = [_parse(entry, f"{key}[{i}]", _ENTRY[kind]) for i, entry in enumerate(value)]
+            return tuple(entries) if kind == "pair" else np.asarray(entries, dtype=float)
+    elif kind in _TYPES:
+        if isinstance(value, _TYPES[kind]) and not (kind == "seed" and value < 0):
+            return int(value) if kind in ("int", "seed") else value
+    elif kind == "res":
+        pair = value if isinstance(value, list) and len(value) == 2 else [value]
+        if all(type(r) is int and r >= 1 for r in pair):
+            return value
+    elif kind != "real" or isinstance(value, (int, float)):  # "real" takes no text
         try:
             x = float(value)  # YAML reads ``nan`` as text; bools are numbers
         except (TypeError, ValueError, OverflowError):
             x = np.nan
-        ok = np.isfinite(x) and {"num": True, "real": True, "pos": x > 0,
-                                 "count": x >= 1 and x.is_integer()}[kind]
-    elif kind in _TYPES:
-        ok = isinstance(value, _TYPES[kind]) and not (kind == "seed" and value < 0)
-    elif kind == "res":
-        pair = value if isinstance(value, list) and len(value) == 2 else [value]
-        ok = all(type(r) is int and r >= 1 for r in pair)
-    elif kind == "word":
-        raise ConfigSchemaError(f"{key}: expected one of {', '.join(map(str, words))}, "
-                                f"got {value!r}")
-    else:
-        ok = isinstance(value, list) and (len(value) == 2 if kind == "pair" else len(value) > 0)
-        for i, entry in enumerate(value if ok else ()):
-            _check_value(entry, f"{key}[{i}]", _ENTRY[kind])
-    if not ok:
-        raise ConfigSchemaError(f"{key}: expected {EXPECTED[kind]}, got {value!r}")
-
-
-def _convert(value, kind: str):
-    """A checked config value as a run uses it."""
-    if kind in _PARTS and isinstance(value, dict):
-        parts = [_convert(value[part], sub) for part, sub in _PARTS[kind].items()]
-        return np.linspace(*parts) if kind == "line" else brillouin_grid(*parts)
-    if kind in ("nums", "counts", "posnums", "line", "kgrid"):
-        return np.asarray(value, dtype=float)
-    if kind == "pair":
-        return tuple(float(v) for v in value)
-    if kind == "count":
-        return int(float(value))  # the check accepts any whole number, also as text
-    if kind in ("int", "seed"):
-        return int(value)
-    return float(value) if kind in ("num", "real", "pos") else value
+        if np.isfinite(x) and {"num": True, "real": True, "pos": x > 0,
+                               "count": x >= 1 and x.is_integer()}[kind]:
+            return int(x) if kind == "count" else x
+    raise ConfigSchemaError(f"{key}: expected {EXPECTED[kind]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +269,13 @@ class RunContext:
     """A checked configuration, the inputs built from it, and the manifest they feed."""
 
     def __init__(self, cfg: dict, subcommand: str, config_path, out=None):
-        check_schema(cfg, subcommand)
+        self.values = check_schema(cfg, subcommand)
         try:
             # Round trip: YAML's number keys become text that sort_keys can order;
             # a set, date, bytes, recursive alias or too deep nesting fails here.
             self.config_record = json.loads(json.dumps(cfg, default=_json_default))
         except (TypeError, ValueError, RecursionError) as exc:
             raise ConfigSchemaError(f"config is not JSON-serializable: {exc}") from exc
-        self.cfg = cfg
         self.subcommand = subcommand
         self.config_path = Path(config_path)
         self.seed = self["seed"]
@@ -290,14 +285,10 @@ class RunContext:
         self.input_hashes = {str(self.config_path): _sha256_file(self.config_path)}
 
     def __getitem__(self, key: str):
-        """The value at a dotted SCHEMA key, converted by its kind, or the key's default."""
-        kind, default, *words = SCHEMA[key]
-        value = _lookup(self.cfg, key)
-        if value is _ABSENT:
-            if default is REQUIRED:
-                raise _missing(key)
-            value = default
-        return value if value is None or value in words else _convert(value, kind)
+        """The parsed value at a dotted SCHEMA key, or the key's parsed default."""
+        if key not in self.values and SCHEMA[key][1] is REQUIRED:
+            raise _missing(key)
+        return self.values[key]
 
     def rng(self, offset: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + offset)
@@ -323,13 +314,9 @@ class RunContext:
                                  for name in ("V0", "V1", "V2", "V3")))
 
     def field(self, key: str) -> PeriodicScalarField:
-        """The field the spec at ``key`` describes; a malformed spec fails naming its key."""
+        """The field the spec at ``key`` describes; bad contents fail naming the key."""
         grid, spec = self.grid, self[key]
-        part = next((p for p in ("constant", "modes", "file") if p in spec), None) \
-            if isinstance(spec, dict) else None
-        if part is None:
-            raise ConfigSchemaError(f"{key}: expected a mapping with one of constant/modes/file, "
-                                    f"got {spec!r}")
+        part = next(p for p in _FIELD_PARTS if p in spec)
         key, value = f"{key}.{part}", spec[part]
         try:
             if part == "constant":
@@ -650,7 +637,7 @@ def run_validate(ctx: RunContext) -> int:
     except InadmissibleParameterError as exc:
         diagnostics.append({"name": "grid_adequacy", "message": str(exc)})
     else:
-        for v in ctx.coefficients.gamma_violations()[:10]:
+        for v in ctx.coefficients.gamma_violations():
             diagnostics.append({
                 "name": f"gamma_bound_{v['field']}",
                 "message": (f"{v['field']}({v['x'][0]:.6f}, {v['x'][1]:.6f}) = "

@@ -471,11 +471,10 @@ class CoefficientSet:
             if not fld.is_real():
                 raise GammaValidationError(f"{name} is not real-valued to tolerance")
         if self.strict:
-            violations = self.gamma_violations()
-            if violations:
-                worst = violations[0]
+            count, worst = self._gamma_scan()
+            if count:
                 raise GammaValidationError(
-                    f"{len(violations)} sample-grid bound violations; worst: {worst}"
+                    f"{count} sample-grid bound violations; worst: {worst[0]}"
                 )
 
     @property
@@ -496,29 +495,24 @@ class CoefficientSet:
             p=p, q=q, f_bound=f_bound,
         )
 
-    def gamma_violations(self, tol: float = 1e-9) -> list[dict]:
-        """Sampled bound violations, worst first, with sample coordinates."""
+    def gamma_violations(self) -> list[dict]:
+        """The 10 worst sampled bound violations, worst first, with sample coordinates."""
+        return self._gamma_scan()[1]
+
+    def _gamma_scan(self) -> tuple[int, list[dict]]:
+        """The number of sampled bound violations and the 10 worst (ties: G, H, F, row-major)."""
         s = self.grid.sample_resolution
         x = np.arange(s) / s
-        out = []
-
-        def scan(name, vals, low, high):
-            excess = np.maximum(low - vals, vals - high)
-            bad = np.argwhere(excess > tol)
-            for i, j in bad:
-                out.append({
-                    "field": name,
-                    "x": (float(x[i]), float(x[j])),
-                    "value": float(vals[i, j]),
-                    "excess": float(excess[i, j]),
-                })
-
-        scan("G", self.g.samples().real, self.q, self.p)
-        scan("H", self.h.samples().real, self.q, self.p)
-        fs = self.f.samples().real
-        scan("F", np.abs(fs), -np.inf, self.f_bound)
-        out.sort(key=lambda v: -v["excess"])
-        return out
+        vals = np.stack([self.g.samples().real, self.h.samples().real,
+                         np.abs(self.f.samples().real)])
+        low = np.array([self.q, self.q, -np.inf])[:, None, None]
+        high = np.array([self.p, self.p, self.f_bound])[:, None, None]
+        excess = np.maximum(low - vals, vals - high).ravel()
+        bad = np.flatnonzero(excess > 1e-9)
+        worst = bad[np.argsort(-excess[bad], kind="stable")[:10]]
+        return bad.size, [{"field": "GHF"[b], "x": (float(x[i]), float(x[j])),
+                           "value": float(vals[b, i, j]), "excess": float(excess[flat])}
+                          for flat, b, i, j in zip(worst, *np.unravel_index(worst, vals.shape))]
 
     @cached_property
     def c_plus(self) -> PeriodicScalarField:

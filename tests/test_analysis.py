@@ -1280,3 +1280,10 @@ class TestAdmissibilityRecipe:
         _, cs, _ = random_set(m=4, seed=20)
         with pytest.raises(d.InadmissibleParameterError):
             d.admissibility_recipe(cs, 1.0, 2.0, 0.1, a1=np.pi)
+
+    @pytest.mark.parametrize("c1", [0.0, 1e-200])
+    def test_vanishing_delta_is_inadmissible(self, c1):
+        # delta = c1/32 squares to 0: J = c2^2 / delta^2 once divided by zero.
+        cs = d.CoefficientSet.constant(d.FourierGrid(3, 14))
+        with pytest.raises(d.InadmissibleParameterError, match="delta"):
+            d.admissibility_recipe(cs, c1, 1.0, 1.0, a1=4 * np.pi)

@@ -314,6 +314,7 @@ EDGE_CONFIGS = [
     ("profile", "profile.count_grid=[10000000000000000000]"),
     ("wiener", "wiener.w={constant: 1e200}"),
     ("wiener", "wiener.w={constant: 1.7e308}"),
+    ("bands", "profile.w={bogus: 1}"),
 ]
 # Rejected up front by the schema check, whose message names the dotted key.
 SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]",
@@ -328,7 +329,8 @@ SCHEMA_REJECTED = {"verify.trials=0", "sweep.mu_grid.count=0", "sweep.k2_grid=[]
                    "bands.n_bands=2.7", "wiener.n_max=8.5", "wiener.n_max='8.5'",
                    "wiener.n_max=[1", "verify.trials=2.5",
                    'coefficients.p="2.0"', "grid.truncation_radius=3.0",
-                   f"sweep.k2_grid=[{10**400}]", "workers=3", "workers=true"}
+                   f"sweep.k2_grid=[{10**400}]", "workers=3", "workers=true",
+                   "profile.w={bogus: 1}"}
 
 
 @pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
@@ -666,6 +668,19 @@ def test_runs_read_only_schema_keys(tmp_path, monkeypatch):
     ctx = cli.RunContext(SHIPPED["constant_free"], "bands", path, tmp_path / "o")
     with pytest.raises(KeyError):
         ctx["bands.colour"]
+
+
+def test_each_key_is_parsed_once(tmp_path):
+    ctx = cli.RunContext(SHIPPED["variable_smooth"], "bands", VARIABLE_CONFIG, tmp_path / "o")
+    assert ctx["bands.k_grid"] is ctx["bands.k_grid"]
+    assert ctx["sweep.mu_grid"] is ctx["sweep.mu_grid"]
+
+
+def test_every_schema_default_parses():
+    # A bad default fails here, not in the first run that reads it.
+    for key, (kind, default, *words) in SCHEMA.items():
+        if default is not cli.REQUIRED and default is not None:
+            cli._parse(default, key, kind, words)
 
 
 def test_every_default_is_read():

@@ -295,6 +295,30 @@ class TestCoefficientSet:
         assert violations and violations[0]["field"] == "G"
         assert "x" in violations[0]
 
+    def test_every_sample_violating_keeps_count_and_worst(self):
+        # G, H and F leave the box at every sample: 3 S^2 violations, but only
+        # the 10 worst become dicts, in the order of a full sort (F first, ties
+        # row-major), and the strict error names the full count.
+        grid = d.FourierGrid(2, 12)
+        fields = [d.PeriodicScalarField.constant(grid, v) for v in (3.0, 0.25, 2.5)]
+        cs = d.CoefficientSet(*fields, p=2.0, q=0.5, f_bound=1.0, strict=False)
+        x = np.arange(12) / 12
+        full = []
+        for name, vals, low, high in (("G", fields[0].samples().real, 0.5, 2.0),
+                                      ("H", fields[1].samples().real, 0.5, 2.0),
+                                      ("F", np.abs(fields[2].samples().real), -np.inf, 1.0)):
+            excess = np.maximum(low - vals, vals - high)
+            full += [{"field": name, "x": (float(x[i]), float(x[j])),
+                      "value": float(vals[i, j]), "excess": float(excess[i, j])}
+                     for i, j in np.argwhere(excess > 1e-9)]
+        full.sort(key=lambda v: -v["excess"])
+        assert len(full) == 3 * 12 * 12
+        assert cs.gamma_violations() == full[:10]
+        assert [v["x"] for v in full[:10]] == [(0.0, float(x[j])) for j in range(10)]
+        with pytest.raises(d.GammaValidationError) as err:
+            d.CoefficientSet(*fields, p=2.0, q=0.5, f_bound=1.0)
+        assert str(err.value) == f"432 sample-grid bound violations; worst: {full[0]}"
+
     def test_real_field_required(self):
         grid = d.FourierGrid(3, 16)
         complex_g = d.PeriodicScalarField.from_modes(grid, {(0, 0): 1.0, (1, 0): 0.1j})
