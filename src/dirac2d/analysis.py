@@ -20,10 +20,9 @@ Fiber solves follow the fiber's ``route`` (see :mod:`dirac2d.operators`).
 With constant coefficients and potential (the free reference operator) each
 mode is its own 2x2 block, and bands, sigma_min and the equivalence constants
 are batched per-mode solves.  Else a sweep point or d_pm is factored once
-(sparse or dense LU; a sweep orders the sparse columns once per sparsity
-pattern) and sigma_min read off by Lanczos on the LU solves of
-(A^H A)^{-1}; a Hermitian fiber without diagonal blocks gets its bands as
-+-sigma of one off-diagonal block (:func:`band_structure`).
+(banded or dense LU) and sigma_min read off by Lanczos on (A^H A)^{-1}; a
+Hermitian fiber without diagonal blocks gets its bands as +-sigma of one
+off-diagonal block (:func:`band_structure`).
 
 Their quadrature needs every power moment mean_j w_j z_j^nu of the phase
 samples z = e^{2 pi i (Psi - x2)}; nu = a q + b, q = ceil(sqrt(n_max)), makes
@@ -69,6 +68,7 @@ from .operators import (
     TruncatedOperator,
     assemble_dirac,
     assemble_dpm,
+    band_storage,
     lanczos_singular_value,
     lu_solver,
     multiplication_operator,
@@ -87,21 +87,18 @@ def brillouin_grid(n1: int, n2: int) -> np.ndarray:
 # Smallest singular values
 # ---------------------------------------------------------------------------
 
-def smallest_singular_value(op: TruncatedOperator, *, orders: dict | None = None) -> float:
+def smallest_singular_value(op: TruncatedOperator) -> float:
     """sigma_min of a truncated operator on its ``route``: the least per-mode
-    block singular value, else A is factored once
-    (:func:`~dirac2d.operators.lu_solver`, which reuses a SuperLU column order
-    from ``orders`` for a sparsity pattern it has seen) and seeded Lanczos
-    (:func:`~dirac2d.operators.lanczos_singular_value`) finds lambda_max of
-    (A^H A)^{-1} through two triangular solves per step, so sigma_min =
-    lambda_max^{-1/2} without an SVD.  An exactly zero pivot means A is
-    singular in floating point and gives 0.0; if ARPACK fails the value comes
-    from a full SVD.  Only the dense route holds the 16 dim^2-byte matrix
+    block singular value, else one LU of A (:func:`~dirac2d.operators.lu_solver`)
+    and seeded Lanczos (:func:`~dirac2d.operators.lanczos_singular_value`) on
+    (A^H A)^{-1}, two triangular solves per step: sigma_min = lambda_max^{-1/2}
+    without an SVD.  An exactly zero pivot gives 0.0; if ARPACK fails the value
+    comes from a full SVD.  Only the dense route holds the 16 dim^2-byte matrix
     (about 1 GiB at M = 32) and as much again in LU factors.
     """
     if op.route == "per-mode":
         return float(np.linalg.svd(op.mode_blocks, compute_uv=False).min())
-    solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse, orders)
+    solve = lu_solver(op.matrix if op.route == "dense LU" else op.sparse, op.n_components)
     if solve is None:
         return 0.0
     # (A^H A)^{-1} v: solve A^H y = v, then A x = y.
@@ -155,7 +152,7 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
     values, defects, used_eigen = [], [], True
     for k in kgrid:
         op = assemble_dirac(coeffs, V, (k[0], k[1]))
-        # A sparse-route fiber stays sparse until a block goes to LAPACK.
+        # A band-LU fiber stays sparse until a block goes to LAPACK.
         a = op.matrix if op.route == "dense LU" else op.sparse
         defect = float(abs(a - a.conj().T).max())
         scale = max(1.0, float(abs(a).max()))
@@ -255,6 +252,7 @@ class SweepReport:
     floor_log_intercept: float | None
     floor_log_slope: float | None
     route: str                    # TruncatedOperator.route of every point
+    half_bandwidths: tuple | None  # (kl, ku) of the interleaved fibers on ``band LU``
 
     def rows(self):
         for i, mu in enumerate(self.config.mu_grid):
@@ -275,12 +273,10 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
                     sweep: SweepConfig) -> SweepReport:
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
-    Each point is one :func:`smallest_singular_value`.  Every point has the
-    same fields, so on the ``sparse LU`` route the points share one sparsity
-    pattern (a pattern changes only where an entry cancels to exactly 0), and
-    the SuperLU column order of each pattern is computed once per call and
-    reused by the later points with the same bits; the orders are dropped when
-    the sweep returns.  A value below the certificate floor, or NaN, is flagged
+    Each point is one :func:`smallest_singular_value`, with the bits of a
+    fresh call.  On ``band LU`` the report gives the last point's (kl, ku)
+    (:func:`~dirac2d.operators.band_storage`; every point has the same fields).
+    A value below the certificate floor, or NaN, is flagged
     (a potential eigenvalue certificate failure), never raised; a log-linear
     floor is fitted to the per-mu_tilde minima when all are positive and there
     are at least two distinct mu_tilde values.
@@ -289,12 +285,11 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     kp = np.asarray(sweep.k_prime, dtype=float)
     cp = np.asarray(sweep.kappa_prime, dtype=float)
     sigma = np.empty((len(sweep.mu_grid), len(sweep.k2_grid)))
-    orders = {}
     for i, mu in enumerate(sweep.mu_grid):
         for j, k2 in enumerate(sweep.k2_grid):
             z = ComplexQuasimomentum(np.array([np.pi, k2]) + kp, mu * e + cp)
             op = assemble_dirac(coeffs, V, z)
-            sigma[i, j] = smallest_singular_value(op, orders=orders)
+            sigma[i, j] = smallest_singular_value(op)
     min_per_mu = sigma.min(axis=1)
     flagged = ~(min_per_mu >= TOLERANCES["sigma_min_flag"])
 
@@ -303,9 +298,10 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         coeffs_fit = np.polyfit(np.asarray(sweep.mu_grid, dtype=float),
                                 np.log(min_per_mu), 1)
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])
-    return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu,
-                       flagged=flagged, floor_log_intercept=intercept,
-                       floor_log_slope=slope, route=op.route)
+    return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu, flagged=flagged,
+                       floor_log_intercept=intercept, floor_log_slope=slope, route=op.route,
+                       half_bandwidths=(band_storage(op.sparse, op.n_components)[1:]
+                                        if op.route == "band LU" else None))
 
 
 # ---------------------------------------------------------------------------
@@ -984,10 +980,13 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
     if a1 < DEFAULTS["a_min"]:
         raise InadmissibleParameterError(f"need a1 >= 2 pi, got {a1}")
     delta = min(c1 / 32.0, 1.5 * c8)
-    if not delta**2 > 0 or not np.isfinite(c2**2 / delta**2):
+    c2_sq = float(c2) * float(c2)  # a Python float's ``**`` raises OverflowError
+    if not math.isfinite(c2_sq):
+        raise InadmissibleParameterError(f"c2^2 is not finite (c2 = {c2!r})")
+    if not delta * delta > 0 or not math.isfinite(c2_sq / (delta * delta)):
         raise InadmissibleParameterError(f"need a finite c2^2 / delta^2, got delta = "
                                          f"min(c1/32, 3 c8/2) = {delta} and c2 = {c2}")
-    j_count = int(np.ceil(c2**2 / delta**2))
+    j_count = int(np.ceil(c2_sq / (delta * delta)))
 
     grid = coeffs.grid
     products = [
@@ -1039,7 +1038,9 @@ def admissibility_recipe(coeffs: CoefficientSet, c1: float, c2: float, c8: float
         a_j = radii[j_count - 1] if j_count >= 1 else radii[0]
         constant_gap = None
 
-    tau_star = 4.0 * a_j**2 / np.pi
+    tau_star = 4.0 * float(a_j) * float(a_j) / np.pi
+    if not math.isfinite(tau_star):
+        raise InadmissibleParameterError(f"tau* = 4 a_J^2 / pi is not finite (a_J = {a_j!r})")
     theta = c1 / (3.0 * 64.0 * np.pi * a1**2 * tau_star)
     return LadderReport(a1=float(a1), a_j=float(a_j), j_count=j_count,
                         delta=float(delta), feasible=feasible, theta=float(theta),

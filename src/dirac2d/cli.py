@@ -441,11 +441,13 @@ def run_sweep(ctx: RunContext) -> int:
         "flagged_points": int(np.count_nonzero(report.flagged)),
         "floor_log_intercept": report.floor_log_intercept,
         "floor_log_slope": report.floor_log_slope,
+        "half_bandwidths": report.half_bandwidths,
     }, [
         f"direction e = {sweep.direction}",
         f"global sigma_min = {report.min_per_mu.min():.6e}",
         f"flagged points (< {TOLERANCES['sigma_min_flag']:g}): {int(np.count_nonzero(report.flagged))}",
         f"fiber route: {report.route}",
+        f"band half-bandwidths (kl, ku): {report.half_bandwidths}",
         "outputs: sweep.csv sweep_min.csv",
     ])
     return 0

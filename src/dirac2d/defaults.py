@@ -56,7 +56,7 @@ DEFAULTS = {
     "eps_grid": (1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
     # Seed of the Lanczos start and restart vectors (smallest_singular_value,
     # the gauge solve's s[0] and s[-2]) and of the vector that replaces the
-    # zero N = 0 column of i d_+(0) before its sparse LU.
+    # zero N = 0 column of i d_+(0), on the support of G + iF and H, before its banded LU.
     "lanczos_seed": 0,
     # Cap on the ladder length J when constructing separated radii a_2..a_{J+1}.
     "ladder_cap": 64,

@@ -15,9 +15,10 @@ with determinant 2i Im(mu1_+ conj(mu2_+)).  The gauge functions are then
 recovered by a solve on the zero-mean subspace, with the defect of the
 solvability condition reported as a residual.
 
-One sparse LU serves a whole solve.  The N = 0 column of A = i d_+(0) is
+One banded LU serves a whole solve.  The N = 0 column of A = i d_+(0) is
 zero; A' is A with that column replaced by a vector r drawn from
-``DEFAULTS["lanczos_seed"]``, nonsingular when the cokernel is
+``DEFAULTS["lanczos_seed"]`` on the support of G + iF and H (offsets every
+column reaches, so A' keeps A's band), nonsingular when the cokernel is
 one-dimensional.  A'^H y = e_0 forces A^H y = 0, so chi_+ is y / |y|.  For
 b orthogonal to chi_+, A' x = b gives x_0 = (chi_+, b) / (chi_+, r) = 0 and
 A x = b, so A'^{-1} is the zero-mean solve on chi_+^perp and, with P the
@@ -83,15 +84,16 @@ def _phase_fix(chi: np.ndarray) -> np.ndarray:
 
 
 class _DPlusLU:
-    """A = i d_+(0) at zero quasimomentum and one sparse LU of A' (see above)."""
+    """A = i d_+(0) at zero quasimomentum and one banded LU of A' (see above)."""
 
     def __init__(self, coeffs: CoefficientSet):
         self.sparse = (1j * assemble_dpm(coeffs, (0.0, 0.0), 0.0, "+").sparse).tocsc()
         n, c0 = self.sparse.shape[0], coeffs.grid.mode_index(0, 0)
         self.adjoint = self.sparse.conj().T
+        rows = np.flatnonzero((coeffs.c_plus.coeffs != 0) | (coeffs.h.coeffs != 0))
         rng = np.random.default_rng(DEFAULTS["lanczos_seed"])
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        column = scipy.sparse.csc_matrix((r, (np.arange(n), np.full(n, c0))), shape=(n, n))
+        r = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        column = scipy.sparse.csc_matrix((r, (rows, np.full(rows.size, c0))), shape=(n, n))
         self.solve = lu_solver(self.sparse + column)
         if self.solve is None:
             raise DegenerateCokernelError(

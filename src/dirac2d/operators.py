@@ -38,11 +38,13 @@ dense array, and ``matrix`` is ``columns`` over every column;
 ``restricted_operator_distance`` reads the blocks of the probed columns
 directly.  The dense products and the distance's Gram matrices run through
 ``scipy.linalg`` BLAS/LAPACK: numpy loads a second OpenBLAS, and the two
-thread pools contend when calls alternate with SuperLU and ARPACK.
+thread pools contend when calls alternate with scipy's LU solves and ARPACK.
 
 ``TruncatedOperator.route`` is the one place the fields pick how a fiber is
-solved: ``per-mode`` (constant fields), ``sparse LU`` (band-limited fields) or
-``dense LU`` (a product, or full-support fields such as gauge exponentials).
+solved: ``per-mode`` (constant fields), ``band LU`` (band-limited fields:
+LAPACK's banded LU with the spinor components interleaved per mode, see
+:func:`band_storage`) or ``dense LU`` (a product, or full-support fields
+such as gauge exponentials).
 
 One seeded Lanczos routine (:func:`lanczos_singular_value`) takes every
 iterative singular value the library needs, with its ``svdvals`` fallback:
@@ -166,7 +168,7 @@ def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
 def _band_limited(factor) -> bool:
     """True when every field of the factor is band-limited: band radius b with
     2b < M, so a convolution row holds (2b+1)^2 <= n_modes / 4 nonzeros and
-    sparse routes pay off."""
+    sparse and banded routes pay off."""
     return all(2 * field.band_radius < field.grid.truncation_radius for _, _, field, _ in factor)
 
 
@@ -325,7 +327,7 @@ class TruncatedOperator:
         :meth:`_column_blocks`, so the cost scales with ``len(idx)`` and a block
         that no product reaches is neither built nor multiplied.  A product's
         dense products run through ``scipy.linalg.blas.zgemm``, the OpenBLAS
-        that SuperLU and ARPACK use: numpy loads its own, and the two thread
+        that the LU solves and ARPACK use: numpy loads its own, and the two thread
         pools contend when a gauge computation alternates between them.
         """
         idx = np.asarray(idx)
@@ -340,11 +342,11 @@ class TruncatedOperator:
     def route(self) -> str:
         """How a fiber solve treats the operator, set by its fields alone:
         ``per-mode`` for one factor of constant fields (see :attr:`mode_blocks`),
-        ``sparse LU`` for one factor of band-limited fields (:func:`lu_solver`
+        ``band LU`` for one factor of band-limited fields (:func:`lu_solver`
         of ``sparse``), else ``dense LU`` (:func:`lu_solver` of ``matrix``)."""
         if len(self.factors) != 1 or not _band_limited(self.factors[0]):
             return "dense LU"
-        return "sparse LU" if any(f.band_radius for _, _, f, _ in self.factors[0]) else "per-mode"
+        return "band LU" if any(f.band_radius for _, _, f, _ in self.factors[0]) else "per-mode"
 
     @property
     def sparse(self) -> scipy.sparse.csr_matrix:
@@ -383,42 +385,38 @@ def multiplication_operator(field: PeriodicScalarField) -> TruncatedOperator:
     return TruncatedOperator(field.grid, 1, [[(0, 0, field, None)]])
 
 
-def lu_solver(a, orders: dict | None = None):
+def band_storage(a, nc: int = 1) -> tuple[np.ndarray, int, int]:
+    """LAPACK band storage of P A P^T for a sparse A on (C^nc tensor n modes), and
+    its half-bandwidths ``(kl, ku)``, read from the pattern (explicit zeros too).
+
+    P puts index ``c n + mode`` at ``nc mode + c``, so a band-limited fiber is a
+    band matrix (band radius b gives kl, ku <= nc b (2M + 2) + nc - 1).  Entry
+    (i, j) goes to row kl + ku + i - j, column j of a Fortran-ordered array of
+    2 kl + ku + 1 rows (the top kl hold the fill-in), for ``zgbtrf`` in place."""
+    a, n = a.tocoo(), a.shape[0] // nc
+    row, col = (nc * (i % n) + i // n for i in (a.row, a.col))
+    kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+    ab = np.zeros((2 * kl + ku + 1, a.shape[0]), dtype=np.complex128, order="F")
+    ab[kl + ku + row - col, col] = a.data
+    return ab, kl, ku
+
+
+def lu_solver(a, nc: int = 1):
     """``solve(b, trans="N")`` for A x = b (A^H x = b with ``trans="H"``) from one LU
-    of A, ``splu`` when A is sparse and ``zgetrf`` when dense; None when the LU
-    meets an exactly zero pivot (A is singular in floating point).
-
-    ``orders`` is a dict the caller owns, keyed by the CSC sparsity pattern.
-    SuperLU's column order (COLAMD, then the elimination-tree postorder)
-    depends on the pattern alone, so the first sparse A of a pattern takes a
-    plain ``splu`` and stores its column order ``order`` (not when it meets a
-    zero pivot), and every later A of that pattern is factored as
-    A[:, order] with ``permc_spec="NATURAL"``: the same factors without
-    recomputing the order.  A x = b is then x[order] = y with
-    A[:, order] y = b, and A^H x = b is A[:, order]^H x = b[order].
-    """
+    of A; None at an exactly zero pivot (A singular in floating point).  A dense
+    A takes ``zgetrf``; a sparse A on (C^nc tensor n modes) ``zgbtrf`` of its
+    :func:`band_storage`, whose ``zgbtrs`` solves permute b and x by P."""
     if scipy.sparse.issparse(a):
-        a = a.tocsc()
-        key = None if orders is None else (a.indptr.tobytes(), a.indices.tobytes())
-        order = None if key is None else orders.get(key)
-        if order is not None:
-            a = a[:, order]  # the unordered copy is freed before SuperLU allocates
-        try:
-            lu = scipy.sparse.linalg.splu(a, permc_spec=None if order is None else "NATURAL")
-        except RuntimeError:  # SuperLU met an exactly zero pivot
-            return None
-        if order is None:
-            if key is not None:
-                orders[key] = np.argsort(lu.perm_c)
-            return lu.solve
+        ab, kl, ku = band_storage(a, nc)
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+        inward = np.arange(a.shape[0]).reshape(nc, -1).T.ravel()  # P b = b[inward]
+        outward = np.argsort(inward)
 
-        def solve_ordered(b, trans="N"):
-            if trans == "H":
-                return lu.solve(b[order], trans="H")
-            x = np.empty_like(b)
-            x[order] = lu.solve(b)
-            return x
-        return solve_ordered
+        def solve(b, trans="N"):
+            y = scipy.linalg.lapack.zgbtrs(lu, kl, ku, b[inward], piv, overwrite_b=1,
+                                           trans=2 if trans == "H" else 0)[0]
+            return y[outward]
+        return None if info > 0 else solve
     lu, piv, info = scipy.linalg.lapack.zgetrf(a)
 
     def solve(b, trans="N"):
@@ -562,7 +560,7 @@ def restricted_operator_distance(a: TruncatedOperator, b: TruncatedOperator,
     [Y, 0]] of a gauge identity that is Y^H Y and X^H X, two half-size
     eigenproblems; a fiber with V0/V3 blocks is one coupled group.  Each Gram
     matrix is one ``zherk`` and one ``scipy.linalg.eigvalsh`` (``zheevd``, as
-    in numpy), through the OpenBLAS that SuperLU and ARPACK use, so
+    in numpy), through the OpenBLAS that the LU solves and ARPACK use, so
     a gauge computation does not alternate between numpy's and scipy's
     thread pools.  A non-finite entry raises ``ValueError`` there.
     """

@@ -28,10 +28,10 @@ def random_set(m=4, seed=0, **kw):
 
 
 def forbid_full_size_solves(monkeypatch):
-    """Make any eigvalsh, svdvals, splu or zgetrf of a matrix fail; batched
+    """Make any eigvalsh, svdvals, zgbtrf or zgetrf of a matrix fail; batched
     calls on a stack of per-mode blocks (ndim 3) pass through."""
     for owner, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "svdvals"),
-                        (scipy.sparse.linalg, "splu"), (scipy.linalg.lapack, "zgetrf")):
+                        (scipy.linalg.lapack, "zgbtrf"), (scipy.linalg.lapack, "zgetrf")):
         def guarded(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
             if np.ndim(a) == 2:
                 raise AssertionError(f"full-size {_name} of shape {a.shape}")
@@ -220,7 +220,7 @@ class TestBandStructure:
     def test_diagonal_potential_keeps_eigvalsh(self, monkeypatch):
         # Constant coefficients and potential: the bands are still eigvalsh
         # values, from one batched call on the per-mode 2x2 blocks per fiber
-        # and never from a full-size eigvalsh, svdvals, splu or zgetrf.
+        # and never from a full-size eigvalsh, svdvals, zgbtrf or zgetrf.
         grid, cs = constant_set(3)
         kgrid = [[0.0, 0.0], [0.5, 0.2], [1.0, 2.0]]
         potentials = (d.MatrixPotential.diagonal(grid, v0=0.2),
@@ -261,9 +261,9 @@ class TestSweep:
             warnings.simplefilter("error")
             assert d.smallest_singular_value(op) == 0.0
 
-    @pytest.mark.parametrize("route", ["sparse LU", "dense LU"])
+    @pytest.mark.parametrize("route", ["band LU", "dense LU"])
     def test_lattice_point_kernel_zero_pivot(self, monkeypatch, route):
-        # The same fiber forced through LU: splu or zgetrf meets the zero pivot.
+        # The same fiber forced through LU: zgbtrf or zgetrf meets the zero pivot.
         _, cs = constant_set(3)
         op = d.assemble_dirac(cs, None, (0.0, 0.0))
         force_route(monkeypatch, route)
@@ -310,7 +310,7 @@ class TestSweep:
             assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * max(1.0, ref)
         assert ref == pytest.approx(np.pi, abs=1e-12)
 
-    @pytest.mark.parametrize("route", ["sparse LU", "dense LU"])
+    @pytest.mark.parametrize("route", ["band LU", "dense LU"])
     def test_free_sigma_min_on_lanczos_routes(self, monkeypatch, route):
         # The free fibers of the test above forced through LU + Lanczos, the
         # 4-fold degenerate sigma_min = pi at k1 = pi included.
@@ -335,9 +335,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("m", [4, 8, 12])
     def test_reused_column_order_keeps_the_bits(self, monkeypatch, m):
-        # A sweep reuses each pattern's SuperLU column order; every sigma has
-        # the bits of a fresh smallest_singular_value of the same fiber.  The
-        # k2 = 0 line has exact zeros on the diagonal of its symbols.
+        # A sweep takes one banded LU per point and keeps nothing between
+        # points; every sigma has the bits of a fresh smallest_singular_value
+        # of the same fiber.  The k2 = 0 line has exact zeros on the diagonal
+        # of its symbols.
         grid = d.FourierGrid(m, 2 * (2 * m + 1))
         rng = np.random.default_rng(60 + m)
         cs = d.random_gamma_instance(grid, rng, degree=1 if m == 4 else 2)
@@ -347,44 +348,43 @@ class TestSweep:
                 cs, V, d.ComplexQuasimomentum((np.pi, k2), (mu, 0.0))))
                 for mu in sweep.mu_grid for k2 in sweep.k2_grid]
             with monkeypatch.context() as mp:
-                calls = count_splu(mp)
+                calls = count_band_lu(mp)
                 rep = d.sigma_min_sweep(cs, V, sweep)
-            assert rep.route == "sparse LU"
-            assert [spec for _, spec in calls].count("NATURAL") >= 3
+            assert rep.route == "band LU"
+            assert len(calls) == len(refs)
             assert rep.sigma.tobytes() == np.array(refs).reshape(rep.sigma.shape).tobytes()
 
     def test_one_colamd_order_per_sweep(self, monkeypatch):
+        # One banded LU per point, of the interleaved fiber's band (M = 6,
+        # degree 2: kl = ku = 2 (2 * 14) + 1); a second sweep repeats them.
         grid, cs, rng = random_set(6, seed=21)
         mass = d.MatrixPotential.diagonal(grid, v3=0.3)
         sweep = d.SweepConfig(mu_grid=tuple(np.linspace(0, 20 * np.pi, 7)),
                               k2_grid=(rng.uniform(0, 2 * np.pi),))
-        calls = count_splu(monkeypatch)
+        calls = count_band_lu(monkeypatch)
         rep = d.sigma_min_sweep(cs, mass, sweep)
-        dim = 2 * grid.n_modes
-        assert rep.route == "sparse LU"
-        assert calls == [((dim, dim), "COLAMD")] + [((dim, dim), "NATURAL")] * 6
-        # A second sweep starts from no stored order.
+        assert rep.route == "band LU" and rep.half_bandwidths == (57, 57)
+        assert calls == [(2 * grid.n_modes, 57, 57)] * 7
         d.sigma_min_sweep(cs, mass, sweep)
         assert calls[7:] == calls[:7]
 
     def test_zero_pivot_on_a_reused_order(self, monkeypatch):
-        # A zero pivot at a reused order gives 0.0, flagged; the next point
-        # still reuses the order and keeps its bits.
+        # A zero pivot (info > 0) at the middle point gives 0.0, flagged; its
+        # neighbours keep their bits.
         grid, cs, rng = random_set(6, seed=22)
         mass = d.MatrixPotential.diagonal(grid, v3=0.3)
         sweep = d.SweepConfig(mu_grid=(0.0, 2.0, 4.0), k2_grid=(rng.uniform(0, 2 * np.pi),))
         ref = d.sigma_min_sweep(cs, mass, sweep)
         calls = []
-        splu = scipy.sparse.linalg.splu
+        zgbtrf = scipy.linalg.lapack.zgbtrf
 
-        def failing_once(a, *args, **kwargs):
-            calls.append(kwargs.get("permc_spec") or "COLAMD")
-            if calls == ["COLAMD", "NATURAL"]:
-                raise RuntimeError("Factor is exactly singular")
-            return splu(a, *args, **kwargs)
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_once)
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            lu, piv, info = zgbtrf(*args, **kwargs)
+            return lu, piv, 1 if len(calls) == 2 else info
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", failing_once)
         rep = d.sigma_min_sweep(cs, mass, sweep)
-        assert calls == ["COLAMD", "NATURAL", "NATURAL"]
+        assert len(calls) == 3
         assert rep.sigma[1, 0] == 0.0 and rep.flagged.tolist() == [False, True, False]
         assert rep.sigma[[0, 2]].tobytes() == ref.sigma[[0, 2]].tobytes()
 
@@ -479,7 +479,7 @@ class TestEquivalenceConstants:
         grid = d.FourierGrid(m, 2 * (2 * m + 1))
         rng = np.random.default_rng(80 + m)
         cs = d.random_gamma_instance(grid, rng, degree=1 if m == 4 else 2)
-        calls = count_splu(monkeypatch)
+        calls = count_band_lu(monkeypatch)
         for k, mu in (((np.pi, 0.3), 2 * np.pi), ((0.9, 0.4), 0.0), ((np.pi, 0.0), 16 * np.pi)):
             c1, c2 = d.estimate_c1_c2(cs, k, mu)
             weights = d.ModeWeights(grid, k, mu)
@@ -490,15 +490,17 @@ class TestEquivalenceConstants:
         assert len(calls) == 6
 
 
-def count_splu(monkeypatch):
-    """Record the shape and column-order spec of every sparse LU taken."""
+def count_band_lu(monkeypatch):
+    """Record (n, kl, ku) of every banded LU taken; each must factor a
+    Fortran-ordered band array in place."""
     calls = []
-    splu = scipy.sparse.linalg.splu
+    zgbtrf = scipy.linalg.lapack.zgbtrf
 
-    def counting(a, *args, **kwargs):
-        calls.append((a.shape, kwargs.get("permc_spec") or "COLAMD"))
-        return splu(a, *args, **kwargs)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    def counting(ab, kl, ku, **kwargs):
+        assert ab.flags.f_contiguous and kwargs.get("overwrite_ab") == 1
+        calls.append((ab.shape[1], kl, ku))
+        return zgbtrf(ab, kl, ku, **kwargs)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", counting)
     return calls
 
 
@@ -518,9 +520,9 @@ class TestSparseRoute:
         with monkeypatch.context() as mp:
             forbid_full_size_solves(mp)
             sparse = [d.smallest_singular_value(ops[0])]
-        calls = count_splu(monkeypatch)
+        calls = count_band_lu(monkeypatch)
         sparse += [d.smallest_singular_value(op) for op in ops[1:]]
-        assert [op.route for op in ops] == ["per-mode", "sparse LU", "sparse LU"]
+        assert [op.route for op in ops] == ["per-mode", "band LU", "band LU"]
         assert len(calls) == 2
         # Forced to dense LU, every fiber, the constant one too, takes zgetrf.
         force_route(monkeypatch, "dense LU")
@@ -532,7 +534,40 @@ class TestSparseRoute:
             assert abs(s - lu) <= 1e-12 * lu
             assert abs(s - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_degree_two_below_m8_takes_band_lu(self, monkeypatch, m):
+        # 2b < M holds from M = 5 at b = 2; these fibers take one banded LU each.
+        grid, cs, rng = random_set(m, seed=100 + m)
+        z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2),
+                                   (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1)))
+        ops = [d.assemble_dirac(cs, V, z)
+               for V in (None, d.MatrixPotential.diagonal(grid, v3=0.3))]
+        calls = count_band_lu(monkeypatch)
+        for op in ops:
+            assert op.route == "band LU"
+            ref = scipy.linalg.svdvals(op.matrix)[-1]
+            assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
+        assert len(calls) == 2
+
+    def test_m16_sweep_point_stays_banded_in_memory(self):
+        # One dense M = 16 fiber takes 2178^2 x 16 B (72 MiB); the band
+        # storage of its interleaved form, 2 kl + ku + 1 = 412 rows, 14 MiB.
+        grid, cs, _ = random_set(16, seed=26)
+        mass = d.MatrixPotential.diagonal(grid, v3=0.3)
+        sweep = d.SweepConfig(mu_grid=(3.0,), k2_grid=(0.7,))
+        _, small, _ = random_set(3, seed=26, degree=1)
+        d.sigma_min_sweep(small, None, sweep)  # first-call imports stay out of the trace
+        tracemalloc.start()
+        try:
+            rep = d.sigma_min_sweep(cs, mass, sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.route == "band LU" and rep.half_bandwidths == (137, 137)
+        assert peak < (2 * grid.n_modes) ** 2 * 16 / 4
+
     def test_full_support_field_never_reaches_splu(self, monkeypatch):
+        # Nor the banded LU: such a fiber's band would be the whole matrix.
         # G sampled on the grid: rounding leaves every coefficient nonzero.
         grid = d.FourierGrid(6, 26)
         x1, x2 = grid.sample_points()
@@ -542,9 +577,9 @@ class TestSparseRoute:
                               p=2.0, q=0.5, f_bound=1.0)
         assert g.band_radius == 6 and not d.operators._band_limited([(0, 0, g, None)])
 
-        def no_splu(*args, **kwargs):
-            raise AssertionError("a full-support fiber reached splu")
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        def no_band_lu(*args, **kwargs):
+            raise AssertionError("a full-support fiber reached zgbtrf")
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", no_band_lu)
         op = d.assemble_dirac(cs, None, d.ComplexQuasimomentum((np.pi, 0.3), (2.0, 0.0)))
         assert op.route == "dense LU"
         assert d.smallest_singular_value(op) == pytest.approx(
@@ -607,20 +642,21 @@ class TestPerModeRoute:
             assert abs(c1 - 1.0) <= 1e-12 and abs(c2 - 1.0) <= 1e-12
 
     def test_one_nonconstant_field_keeps_splu_and_eigvalsh(self, monkeypatch):
-        # A band-limited V3 of band radius 1: the fiber keeps the sparse routes.
+        # A band-limited V3 of band radius 1: the fiber keeps the banded LU.
         grid, cs = constant_set(4)
         rng = np.random.default_rng(3)
         zero = d.PeriodicScalarField.constant(grid, 0.0)
         V = d.MatrixPotential(zero, zero, zero, d.random_trig_field(grid, rng, 1, 0.3))
         op = d.assemble_dirac(cs, V, d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))
-        assert op.route == "sparse LU"
+        assert op.route == "band LU"
         ref = scipy.linalg.svdvals(op.matrix)[-1]
-        splu_calls = count_splu(monkeypatch)
+        band_calls = count_band_lu(monkeypatch)
         eigvalsh_calls = TestBandStructure.count_eigvalsh(monkeypatch)
         assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
         table = d.band_structure(cs, V, [[0.3, 0.2]])
         assert table.route == "dense LAPACK"
-        assert splu_calls == [((op.dim, op.dim), "COLAMD")]
+        # V3's mode offsets reach 1 * 9 + 1 on side 9, interleaved 2 * 10 = 20.
+        assert band_calls == [(op.dim, 20, 20)]
         assert eigvalsh_calls == [(op.dim, op.dim)]
 
 
@@ -1287,3 +1323,16 @@ class TestAdmissibilityRecipe:
         cs = d.CoefficientSet.constant(d.FourierGrid(3, 14))
         with pytest.raises(d.InadmissibleParameterError, match="delta"):
             d.admissibility_recipe(cs, c1, 1.0, 1.0, a1=4 * np.pi)
+
+    def test_overflowing_c2_squared_is_inadmissible(self):
+        # A Python float's ``**`` raises OverflowError at c2^2 = 1e400.
+        cs = d.CoefficientSet.constant(d.FourierGrid(3, 14))
+        with pytest.raises(d.InadmissibleParameterError, match=r"c2\^2"):
+            d.admissibility_recipe(cs, 1.0, 1e200, 1.0, a1=12.6)
+
+    def test_overflowing_tau_star_is_inadmissible(self):
+        # c1 = 1e-140 passes the delta check with J about 1e283, so a_J is
+        # about 1e274 and a_J^2 in tau* overflows.
+        cs = d.CoefficientSet.constant(d.FourierGrid(3, 14))
+        with pytest.raises(d.InadmissibleParameterError, match=r"tau\*"):
+            d.admissibility_recipe(cs, 1e-140, 1.0, 1.0, a1=12.6)

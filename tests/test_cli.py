@@ -85,7 +85,7 @@ class TestBands:
     @pytest.mark.parametrize("config,sub,route", [(SIGMA3_CONFIG, "bands", "per-mode"),
                                                   (SIGMA3_CONFIG, "sweep", "per-mode"),
                                                   (VARIABLE_CONFIG, "bands", "dense LAPACK"),
-                                                  (VARIABLE_CONFIG, "sweep", "sparse LU")])
+                                                  (VARIABLE_CONFIG, "sweep", "band LU")])
     def test_summary_names_the_fiber_route(self, tmp_path, config, sub, route):
         out = tmp_path / "out"
         assert run(sub, "--config", config, "--out", out,
@@ -94,6 +94,20 @@ class TestBands:
                    "--set", "sweep.mu_grid={start: 0.0, stop: 6.0, count: 2}",
                    "--set", "sweep.k2_grid=[0.0]") == 0
         assert f"fiber route: {route}\n" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("config,bandwidths", [(SIGMA3_CONFIG, None),
+                                                   (VARIABLE_CONFIG, [17, 17])])
+    def test_sweep_records_the_half_bandwidths(self, tmp_path, config, bandwidths):
+        # Band radius 1 at M = 3 (side 7), interleaved: 2 * 1 * 8 + 1 = 17.
+        out = tmp_path / "out"
+        assert run("sweep", "--config", config, "--out", out,
+                   "--set", "grid.truncation_radius=3", "--set", "grid.sample_resolution=14",
+                   "--set", "sweep.mu_grid={start: 0.0, stop: 6.0, count: 2}",
+                   "--set", "sweep.k2_grid=[0.0]") == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]["sweep"]
+        assert results["half_bandwidths"] == bandwidths
+        value = None if bandwidths is None else tuple(bandwidths)
+        assert f"band half-bandwidths (kl, ku): {value}\n" in (out / "summary.txt").read_text()
 
 
 class TestGauge:

@@ -130,7 +130,7 @@ class TestSolveGauge:
         assert abs(sol.psi.mean) == 0.0
 
     def test_rerun_determinism(self):
-        # The solver is a direct sparse LU solve: a re-run reproduces the
+        # The solver is a direct banded LU solve: a re-run reproduces the
         # solution exactly (the uniqueness surrogate).
         grid, cs, rng = random_set(seed=8)
         c1 = d.random_trig_field(grid, rng, 2, 0.5)
@@ -195,23 +195,23 @@ class TestSingleFactorization:
         c1 = d.random_trig_field(grid, rng, 2, 0.5, real=not complex_data)
         c2 = d.random_trig_field(grid, rng, 2, 0.5, real=not complex_data)
         calls = []
-        splu = scipy.sparse.linalg.splu
+        zgbtrf = scipy.linalg.lapack.zgbtrf
 
-        def counting_splu(*args, **kwargs):
-            calls.append(args[0].shape)
-            return splu(*args, **kwargs)
+        def counting_band_lu(ab, kl, ku, **kwargs):
+            calls.append(ab.shape[1])
+            return zgbtrf(ab, kl, ku, **kwargs)
 
         def no_svd(*args, **kwargs):
             raise AssertionError("the gauge solve took an SVD")
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", counting_band_lu)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
         d.solve_gauge(cs, c1, c2)
-        assert calls == [(grid.n_modes, grid.n_modes)]
+        assert calls == [grid.n_modes]
 
 
 def test_m16_solve_stays_sparse_in_memory():
-    # The CSR forms of i d_+-(0) and their sparse LU take a few MiB; one dense
+    # The CSR forms of i d_+-(0) and their banded LU take a few MiB; one dense
     # 1089 x 1089 matrix alone would take 19 MiB.
     grid, cs, rng = random_set(m=16, seed=24)
     c1 = d.random_trig_field(grid, rng, 2, 0.5)

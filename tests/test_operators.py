@@ -661,7 +661,7 @@ class TestSparseForm:
     def test_matrix_is_the_column_route_bit_for_bit(self, m, degree):
         for seed in range(3):
             op = band_limited_fiber(m, seed, degree)
-            assert op.route == "sparse LU" and len(op.factors[0]) == 8
+            assert op.route == "band LU" and len(op.factors[0]) == 8
             cols = op.columns(np.arange(op.dim))
             csr = op.sparse.toarray()
             assert np.array_equal(op.matrix, cols) and np.array_equal(csr, cols)
@@ -703,7 +703,7 @@ class TestSparseForm:
 
     def test_only_single_band_limited_factors_are_band_limited(self):
         lhs, rhs = conjugated_pair(6, seed=53)
-        assert rhs.route == "sparse LU" and lhs.route == "dense LU"
+        assert rhs.route == "band LU" and lhs.route == "dense LU"
         with pytest.raises(ValueError):
             _ = lhs.sparse
 
@@ -711,7 +711,7 @@ class TestSparseForm:
         grid, cs, _ = random_set(m=6, seed=57)
         free = d.assemble_dirac(d.CoefficientSet.constant(grid), None, (0.1, 0.2))
         fiber = d.assemble_dirac(cs, None, (0.1, 0.2))
-        assert (free.route, fiber.route) == ("per-mode", "sparse LU")
+        assert (free.route, fiber.route) == ("per-mode", "band LU")
         # A product of band-limited, even constant, factors.
         assert (free @ free).route == "dense LU" and (fiber @ free).route == "dense LU"
         # One full-support field (sampled, so every coefficient is nonzero).
@@ -731,3 +731,80 @@ class TestSparseForm:
         monkeypatch.setattr(d.operators, "_band_limited", lambda factor: False)
         dense = lhs.columns(idx)
         assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+class TestBandLU:
+    """The banded LU of the spinor-interleaved CSR form (``operators.lu_solver``)."""
+
+    @staticmethod
+    def assert_band_holds(a, nc):
+        # P A P^T from a dense copy, P built mode by mode: index c n + mode
+        # moves to nc mode + c.
+        ab, kl, ku = d.operators.band_storage(a, nc)
+        n = a.shape[0] // nc
+        inward = [c * n + mode for mode in range(n) for c in range(nc)]
+        b = a.toarray()[np.ix_(inward, inward)]
+        coo = a.tocoo()
+        where = np.argsort(inward)
+        offsets = where[coo.row] - where[coo.col]
+        assert (kl, ku) == (offsets.max(), -offsets.min())
+        assert ab.flags.f_contiguous and ab.shape == (2 * kl + ku + 1, a.shape[0])
+        i, j = np.indices(b.shape)
+        inside = (i - j <= kl) & (j - i <= ku)
+        assert not b[~inside].any() and not ab[:kl].any()
+        i, j = i[inside], j[inside]
+        assert ab[kl + ku + i - j, j].tobytes() == b[i, j].tobytes()
+        assert np.count_nonzero(ab) == np.count_nonzero(b)
+        return kl, ku
+
+    def test_scalar_fiber_band_holds_the_csr_entries(self):
+        _, cs, _ = random_set(m=6, seed=61)
+        a = d.assemble_dpm(cs, d.ComplexQuasimomentum((0.3, 0.1), (1.0, 0.5)), 0.7, "+").sparse
+        # Degree 2 on side 13: mode offsets reach 2 * 13 + 2.
+        assert self.assert_band_holds(a, 1) == (28, 28)
+
+    @pytest.mark.parametrize("m,degree", [(4, 1), (8, 2)])
+    def test_spinor_fiber_band_holds_the_csr_entries(self, m, degree):
+        op = band_limited_fiber(m, 62, degree)
+        assert {(i, j) for i, j, _, _ in op.factors[0]} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # Interleaved, a mode offset of degree (2M + 2) reaches 2 degree (2M + 2) + 1.
+        k = 2 * degree * (2 * m + 2) + 1
+        assert self.assert_band_holds(op.sparse, 2) == (k, k)
+
+    def test_gauge_replacement_column_keeps_the_band(self, monkeypatch):
+        grid, cs, _ = random_set(m=6, seed=63)
+        a = (1j * d.assemble_dpm(cs, (0.0, 0.0), 0.0, "+").sparse).tocsc()
+        seen = []
+        lu_solver = d.gauge.lu_solver
+
+        def capture(a_prime, *args):
+            seen.append(a_prime)
+            return lu_solver(a_prime, *args)
+        monkeypatch.setattr(d.gauge, "lu_solver", capture)
+        d.cokernel_vectors(cs)
+        (a_prime,) = seen
+        c0 = grid.mode_index(0, 0)
+        assert not a[:, c0].toarray().any()
+        # r fills the modes where G + iF or H has a coefficient, the rows any
+        # other column of A reaches at the same offsets, so A' keeps A's band.
+        support = (cs.c_plus.coeffs != 0) | (cs.h.coeffs != 0)
+        assert np.array_equal(a_prime[:, c0].toarray().ravel() != 0, support)
+        assert self.assert_band_holds(a_prime, 1) == d.operators.band_storage(a)[1:]
+        other = np.arange(grid.n_modes) != c0
+        assert (a_prime[:, other] != a[:, other]).nnz == 0
+
+    @pytest.mark.parametrize("nc", [1, 2])
+    def test_solves_match_numpy(self, nc):
+        _, cs, rng = random_set(m=5, seed=64)
+        z = d.ComplexQuasimomentum((0.4, 1.1), (2.0, -0.5))
+        mass = d.MatrixPotential.diagonal(cs.grid, v0=0.1, v3=0.3)
+        op = d.assemble_dpm(cs, z, 0.0, "-") if nc == 1 else d.assemble_dirac(cs, mass, z)
+        a = op.matrix
+        solve = d.operators.lu_solver(op.sparse, nc)
+        for shape in ((op.dim,), (op.dim, 3)):
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for trans, lhs in (("N", a), ("H", a.conj().T)):
+                ref = np.linalg.solve(lhs, b)
+                x = solve(b, trans)
+                assert x.shape == b.shape
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
