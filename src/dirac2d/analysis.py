@@ -68,7 +68,6 @@ from .operators import (
     TruncatedOperator,
     assemble_dirac,
     assemble_dpm,
-    band_storage,
     lanczos_singular_value,
     lu_solver,
     multiplication_operator,
@@ -146,6 +145,8 @@ def band_structure(coeffs: CoefficientSet, V: MatrixPotential | None, kgrid, *,
     if mode not in ("auto", "eigen", "singular"):
         raise ValueError(f"unknown mode {mode!r}")
     kgrid = np.atleast_2d(np.asarray(kgrid, dtype=float))
+    if kgrid.size == 0:
+        raise InadmissibleParameterError(f"band_structure kgrid is empty (shape {kgrid.shape})")
     if mode == "eigen" and V is not None and not V.is_hermitian():
         raise NonHermitianError("self-adjoint mode requested with a non-Hermitian potential")
 
@@ -252,7 +253,7 @@ class SweepReport:
     floor_log_intercept: float | None
     floor_log_slope: float | None
     route: str                    # TruncatedOperator.route of every point
-    half_bandwidths: tuple | None  # (kl, ku) of the interleaved fibers on ``band LU``
+    half_bandwidths: tuple | None  # TruncatedOperator.half_bandwidths on ``band LU``, else None
 
     def rows(self):
         for i, mu in enumerate(self.config.mu_grid):
@@ -274,8 +275,8 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
     """sigma_min of D(k + k' + i(mu_tilde e + kappa')) + V over the sweep grid.
 
     Each point is one :func:`smallest_singular_value`, with the bits of a
-    fresh call.  On ``band LU`` the report gives the last point's (kl, ku)
-    (:func:`~dirac2d.operators.band_storage`; every point has the same fields).
+    fresh call.  On ``band LU`` the report gives the (kl, ku) its LU factored, the last
+    point's ``half_bandwidths`` (every point has the same fields).
     A value below the certificate floor, or NaN, is flagged
     (a potential eigenvalue certificate failure), never raised; a log-linear
     floor is fitted to the per-mu_tilde minima when all are positive and there
@@ -300,8 +301,7 @@ def sigma_min_sweep(coeffs: CoefficientSet, V: MatrixPotential | None,
         slope, intercept = float(coeffs_fit[0]), float(coeffs_fit[1])
     return SweepReport(config=sweep, sigma=sigma, min_per_mu=min_per_mu, flagged=flagged,
                        floor_log_intercept=intercept, floor_log_slope=slope, route=op.route,
-                       half_bandwidths=(band_storage(op.sparse, op.n_components)[1:]
-                                        if op.route == "band LU" else None))
+                       half_bandwidths=op.half_bandwidths if op.route == "band LU" else None)
 
 
 # ---------------------------------------------------------------------------

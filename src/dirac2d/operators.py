@@ -40,11 +40,11 @@ directly.  The dense products and the distance's Gram matrices run through
 ``scipy.linalg`` BLAS/LAPACK: numpy loads a second OpenBLAS, and the two
 thread pools contend when calls alternate with scipy's LU solves and ARPACK.
 
-``TruncatedOperator.route`` is the one place the fields pick how a fiber is
-solved: ``per-mode`` (constant fields), ``band LU`` (band-limited fields:
-LAPACK's banded LU with the spinor components interleaved per mode, see
-:func:`band_storage`) or ``dense LU`` (a product, or full-support fields
-such as gauge exponentials).
+``TruncatedOperator.route`` is the one place that picks how a fiber is solved:
+``per-mode`` (constant fields), ``band LU`` (one factor whose spinor-interleaved
+band, :attr:`TruncatedOperator.half_bandwidths`, is narrower than the matrix:
+LAPACK's banded LU of :func:`band_storage`) or ``dense LU`` (a product, or a
+band as wide as the matrix, as full-support fields and gauge exponentials give).
 
 One seeded Lanczos routine (:func:`lanczos_singular_value`) takes every
 iterative singular value the library needs, with its ``svdvals`` fallback:
@@ -84,6 +84,8 @@ class ComplexQuasimomentum:
     def __post_init__(self):
         object.__setattr__(self, "k", (float(self.k[0]), float(self.k[1])))
         object.__setattr__(self, "kappa", (float(self.kappa[0]), float(self.kappa[1])))
+        if not np.all(np.isfinite(self.kappa)):
+            raise InadmissibleParameterError(f"kappa = {self.kappa} must be finite")
 
     @property
     def z1(self) -> complex:
@@ -166,9 +168,9 @@ def _convolution_matrix(field: PeriodicScalarField, cols) -> np.ndarray:
 
 
 def _band_limited(factor) -> bool:
-    """True when every field of the factor is band-limited: band radius b with
-    2b < M, so a convolution row holds (2b+1)^2 <= n_modes / 4 nonzeros and
-    sparse and banded routes pay off."""
+    """True when every field of the factor has band radius b with 2b < M.  Only the column
+    route asks: a CSR product pays at a lower density than a banded LU does (a CSR middle
+    factor of the gauge distance took 221 ms at M = 16, b = 8, a dense one 182 ms)."""
     return all(2 * field.band_radius < field.grid.truncation_radius for _, _, field, _ in factor)
 
 
@@ -340,13 +342,16 @@ class TruncatedOperator:
 
     @property
     def route(self) -> str:
-        """How a fiber solve treats the operator, set by its fields alone:
-        ``per-mode`` for one factor of constant fields (see :attr:`mode_blocks`),
-        ``band LU`` for one factor of band-limited fields (:func:`lu_solver`
-        of ``sparse``), else ``dense LU`` (:func:`lu_solver` of ``matrix``)."""
-        if len(self.factors) != 1 or not _band_limited(self.factors[0]):
+        """How a fiber solve treats the operator: ``per-mode`` for one factor of
+        constant fields (see :attr:`mode_blocks`), ``band LU`` for one factor whose
+        band array, 2 kl + ku + 1 rows of :attr:`half_bandwidths`, is shorter than the
+        matrix (:func:`lu_solver` of ``sparse``), else ``dense LU`` (of ``matrix``)."""
+        if len(self.factors) != 1:
             return "dense LU"
-        return "band LU" if any(f.band_radius for _, _, f, _ in self.factors[0]) else "per-mode"
+        if not any(f.band_radius for _, _, f, _ in self.factors[0]):
+            return "per-mode"
+        kl, ku = self.half_bandwidths
+        return "band LU" if 2 * kl + ku + 1 < self.dim else "dense LU"
 
     @property
     def sparse(self) -> scipy.sparse.csr_matrix:
@@ -354,6 +359,16 @@ class TruncatedOperator:
         if len(self.factors) != 1:
             raise ValueError("only a single-factor operator has a sparse form")
         return self._csr[0]
+
+    @cached_property
+    def half_bandwidths(self) -> tuple[int, int]:
+        """(kl, ku) of the band :func:`band_storage` fills from ``sparse``, read from the
+        supports: term (i, j) at offset d lies nc (d1 (2M + 1) + d2) + i - j below."""
+        if len(self.factors) != 1:
+            raise ValueError("only a single-factor operator has a band")
+        shift = self.grid.mode_numbers @ (self.n_components * self.grid.side, self.n_components)
+        below = np.concatenate([shift[f.coeffs != 0] + i - j for i, j, f, _ in self.factors[0]])
+        return int(np.max(below, initial=0)), int(np.max(-below, initial=0))
 
     @cached_property
     def mode_blocks(self) -> np.ndarray:

@@ -62,6 +62,12 @@ def test_stale_positional_grid_is_a_type_error():
 
 
 class TestBandStructure:
+    @pytest.mark.parametrize("kgrid", [[], np.empty((0, 2))])
+    def test_empty_kgrid_is_inadmissible(self, kgrid):
+        _, cs = constant_set(2)
+        with pytest.raises(d.InadmissibleParameterError, match="kgrid"):
+            d.band_structure(cs, None, kgrid)
+
     def test_free_oracle(self):
         grid, cs = constant_set()
         kgrid = d.brillouin_grid(4, 4)
@@ -333,6 +339,19 @@ class TestSweep:
         assert np.all(np.isnan(rep.min_per_mu)) and rep.flagged.tolist() == [True, True]
         assert rep.floor_log_intercept is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_non_finite_kappa_is_inadmissible(self, bad, variable):
+        # Else a band-LU fiber gives sigma_min 0.0, a false certificate
+        # failure, and a per-mode one a bare LinAlgError.
+        cs = random_set(4, seed=5)[1] if variable else constant_set(4)[1]
+        op = d.assemble_dirac(cs, None, (np.pi, 0.3))
+        assert op.route == ("band LU" if variable else "per-mode")
+        for kappa in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(d.InadmissibleParameterError, match="kappa"):
+                d.smallest_singular_value(d.assemble_dirac(
+                    cs, None, d.ComplexQuasimomentum((np.pi, 0.3), kappa)))
+
     @pytest.mark.parametrize("m", [4, 8, 12])
     def test_reused_column_order_keeps_the_bits(self, monkeypatch, m):
         # A sweep takes one banded LU per point and keeps nothing between
@@ -367,6 +386,23 @@ class TestSweep:
         assert calls == [(2 * grid.n_modes, 57, 57)] * 7
         d.sigma_min_sweep(cs, mass, sweep)
         assert calls[7:] == calls[:7]
+
+    def test_one_band_array_per_point(self, monkeypatch):
+        # The report reads the operator's half-bandwidths: n points build n
+        # band arrays, none after the last.
+        grid, cs, _ = random_set(6, seed=23)
+        calls = []
+        band_storage = d.operators.band_storage
+
+        def counting(*args):
+            calls.append(1)
+            return band_storage(*args)
+        for module in (d.operators, d.analysis):  # wherever a caller looks it up
+            monkeypatch.setattr(module, "band_storage", counting, raising=False)
+        sweep = d.SweepConfig(mu_grid=(0.0, 2.0, 4.0), k2_grid=(0.3, 1.1))
+        rep = d.sigma_min_sweep(cs, None, sweep)
+        assert rep.route == "band LU" and rep.half_bandwidths == (57, 57)
+        assert len(calls) == 6
 
     def test_zero_pivot_on_a_reused_order(self, monkeypatch):
         # A zero pivot (info > 0) at the middle point gives 0.0, flagged; its
@@ -534,10 +570,12 @@ class TestSparseRoute:
             assert abs(s - lu) <= 1e-12 * lu
             assert abs(s - ref) <= 1e-12 * ref
 
-    @pytest.mark.parametrize("m", [5, 6])
-    def test_degree_two_below_m8_takes_band_lu(self, monkeypatch, m):
-        # 2b < M holds from M = 5 at b = 2; these fibers take one banded LU each.
-        grid, cs, rng = random_set(m, seed=100 + m)
+    @pytest.mark.parametrize("m, b", [(5, 2), (6, 2), (4, 2), (6, 3), (8, 4)],
+                             ids=["5", "6", "4-2", "6-3", "8-4"])
+    def test_degree_two_below_m8_takes_band_lu(self, monkeypatch, m, b):
+        # A band of 2 kl + ku + 1 < dim rows takes one banded LU per fiber; at
+        # b = M/2 that is 0.75 dim (kl = ku = 2b(2M + 2) + 1).
+        grid, cs, rng = random_set(m, seed=100 + m, degree=b)
         z = d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2),
                                    (rng.uniform(0, 6 * np.pi), rng.uniform(-1, 1)))
         ops = [d.assemble_dirac(cs, V, z)
@@ -547,7 +585,21 @@ class TestSparseRoute:
             assert op.route == "band LU"
             ref = scipy.linalg.svdvals(op.matrix)[-1]
             assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
-        assert len(calls) == 2
+        kl = 2 * b * (2 * m + 2) + 1
+        assert calls == [(ops[0].dim, kl, kl)] * 2
+
+    def test_band_wider_than_the_fiber_takes_dense_lu(self, monkeypatch):
+        # M = 3, b = 2: kl = ku = 33, so the band array would hold 100 rows
+        # against the fiber's 98; zgetrf factors it.
+        grid, cs, rng = random_set(3, seed=103)
+        op = d.assemble_dirac(cs, d.MatrixPotential.diagonal(grid, v3=0.3),
+                              d.ComplexQuasimomentum((np.pi, 0.4), (2.0, 0.0)))
+        assert op.half_bandwidths == (33, 33) and op.dim == 98
+        assert op.route == "dense LU"
+        calls = count_band_lu(monkeypatch)
+        ref = scipy.linalg.svdvals(op.matrix)[-1]
+        assert abs(d.smallest_singular_value(op) - ref) <= 1e-12 * ref
+        assert calls == []
 
     def test_m16_sweep_point_stays_banded_in_memory(self):
         # One dense M = 16 fiber takes 2178^2 x 16 B (72 MiB); the band

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import dirac2d as d
 
@@ -792,6 +793,38 @@ class TestBandLU:
         assert self.assert_band_holds(a_prime, 1) == d.operators.band_storage(a)[1:]
         other = np.arange(grid.n_modes) != c0
         assert (a_prime[:, other] != a[:, other]).nnz == 0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           live=st.lists(st.booleans(), min_size=4, max_size=4), lattice=st.booleans())
+    def test_half_bandwidths_are_the_band_storage_ones(self, data, m, seed, live, lattice):
+        # Measured from the fields' supports, before any band array: each V
+        # component is live or zero and keeps a few random modes, so blocks and
+        # supports come lopsided; a lattice k zeroes a column of the symbols.
+        degree = data.draw(st.integers(0, m), label="b")
+        grid = d.FourierGrid(m, 2 * (2 * m + 1))
+        rng = np.random.default_rng(seed)
+        cs = d.random_gamma_instance(grid, rng, degree=degree)
+        V = d.MatrixPotential(*(d.PeriodicScalarField.from_modes(grid, {
+            tuple(map(int, n)): complex(*rng.standard_normal(2))
+            for n in rng.integers(-m, m + 1, (3, 2))} if on else {}) for on in live))
+        z = ((0.0, 2 * np.pi) if lattice
+             else d.ComplexQuasimomentum(rng.uniform(0, 2 * np.pi, 2), rng.uniform(-3, 3, 2)))
+        for op in (d.assemble_dirac(cs, V, z), d.assemble_dirac(cs, None, z, mu=0.5),
+                   d.assemble_dpm(cs, z, 0.5, "+"), d.assemble_dpm(cs, z, 0.0, "-")):
+            kl, ku = op.half_bandwidths
+            assert (kl, ku) == d.operators.band_storage(op.sparse, op.n_components)[1:]
+            if any(f.band_radius for _, _, f, _ in op.factors[0]):
+                assert op.route == ("band LU" if 2 * kl + ku + 1 < op.dim else "dense LU")
+            else:
+                assert op.route == "per-mode"
+
+    def test_products_have_no_half_bandwidths(self):
+        # Degree-2 V1, V2 on side 9: interleaved offsets reach 2 * 2 (9 + 1) + 1.
+        lhs, rhs = conjugated_pair(4, seed=65)
+        assert rhs.half_bandwidths == (41, 41)
+        with pytest.raises(ValueError, match="single-factor"):
+            _ = lhs.half_bandwidths
 
     @pytest.mark.parametrize("nc", [1, 2])
     def test_solves_match_numpy(self, nc):
